@@ -106,6 +106,20 @@ singlePointSpecs(const SweepSpec &spec)
     return out;
 }
 
+bool
+checkSweepElements(const SweepSpec &spec, std::string &why)
+{
+    for (const auto &workload : spec.workloads)
+        for (OrderingMode mode : spec.modes)
+            for (std::uint32_t ts : spec.tsSizes)
+                for (std::uint32_t bmf : spec.bmfs)
+                    if (!makeWorkload(workload)->fitsElements(
+                            configFor(mode, ts, bmf, spec.base),
+                            spec.elements, why))
+                        return false;
+    return true;
+}
+
 std::vector<SweepRow>
 runSweep(const SweepSpec &spec, const SweepProgress &progress)
 {

@@ -108,6 +108,11 @@ struct SweepRow
  */
 using SweepProgress = std::function<void(const SweepRow &row)>;
 
+/** Whether every grid point can build its workload at spec.elements
+ *  (Workload::fitsElements); fills @p why for the first that cannot.
+ *  @pre every workload name is registered. */
+bool checkSweepElements(const SweepSpec &spec, std::string &why);
+
 /**
  * Run the full grid (row-major: workload, mode, ts, bmf) on
  * SweepSpec::jobs workers. Row order and all simulated metrics are

@@ -26,7 +26,6 @@ System::System(const SystemConfig &cfg, ExecPolicy policy)
     : cfg_(cfg),
       policy_(policy),
       partitioned_(policy.simJobs > 1),
-      collapsed_(policy.simJobs <= 1 && policy.collapseSequential),
       eq_(masterHeapHint(cfg, policy)),
       map_(cfg_)
 {
@@ -36,20 +35,20 @@ System::System(const SystemConfig &cfg, ExecPolicy policy)
 
     profiles_.resize(std::size_t(cfg_.numChannels) + 1);
 
-    // Channel domains exist in every mode: the canonical event order
-    // is the multi-queue merge key, realized by the sequential merge
-    // driver (one thread, stepSim) and the windowed driver (worker
-    // gang) alike, so results are bit-identical for every simJobs.
-    if (collapsed_)
-        eq_.setOwnRank(cfg_.numChannels);
+    // Channel domains exist in every mode. A sequential run collapses
+    // them into the host queue, whose one heap pops the canonical
+    // order; the windowed driver replays cross-domain effects at the
+    // same keys (the host ranks after every channel in both), so
+    // results are bit-identical for every simJobs.
+    eq_.setOwnRank(cfg_.numChannels);
     for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch) {
-        // Collapsed facades never hold events (every schedule lands
+        // Collapse facades never hold events (every schedule lands
         // in the master heap, which masterHeapHint sized for the sum)
         // so they skip the per-channel reservation.
         chEqs_.push_back(std::make_unique<EventQueue>(
-            collapsed_ ? 1 : channelHeapHint(cfg_)));
+            partitioned_ ? channelHeapHint(cfg_) : 1));
         chEqs_[ch]->setSourceId(std::uint16_t(ch + 1));
-        if (collapsed_)
+        if (!partitioned_)
             chEqs_[ch]->collapseInto(&eq_, ch);
     }
     if (partitioned_) {
@@ -110,22 +109,13 @@ System::System(const SystemConfig &cfg, ExecPolicy policy)
         // wrapper records the effect at the channel's current tick
         // and the host replays it as an ordinary event.
         mc->setAckFn([this, ch](const Packet &pkt) {
-            CrossMsg m;
-            m.kind = CrossMsg::Kind::Ack;
-            m.channel = ch;
-            m.applyTick = chEqs_[ch]->now();
-            m.stamp = chEqs_[ch]->currentStamp();
-            m.prio = chEqs_[ch]->currentPrio();
+            CrossMsg m = relayMsg(CrossMsg::Kind::Ack, ch, *chEqs_[ch]);
             m.pkt = pkt;
             mailboxes_[ch]->push(m);
         });
         mc->setHostDoneFn([this, ch](const Packet &pkt) {
-            CrossMsg m;
-            m.kind = CrossMsg::Kind::HostDone;
-            m.channel = ch;
-            m.applyTick = chEqs_[ch]->now();
-            m.stamp = chEqs_[ch]->currentStamp();
-            m.prio = chEqs_[ch]->currentPrio();
+            CrossMsg m =
+                relayMsg(CrossMsg::Kind::HostDone, ch, *chEqs_[ch]);
             m.pkt = pkt;
             mailboxes_[ch]->push(m);
         });
@@ -145,24 +135,44 @@ System::System(const SystemConfig &cfg, ExecPolicy policy)
 
     if (cfg_.verifyOracle) {
         oracle_ = std::make_unique<OrderingOracle>(cfg_);
-        for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch) {
-            PipeObserver *chObs = oracle_.get();
-            if (partitioned_) {
-                // The oracle is host-owned; channel-side hooks are
-                // recorded in the mailbox and replayed by the host.
-                relays_.push_back(std::make_unique<ObserverRelay>(
-                    *mailboxes_[ch], *chEqs_[ch],
-                    std::uint16_t(ch)));
-                chObs = relays_.back().get();
-            }
-            mcs_[ch]->setObserver(chObs);
-            slices_[ch]->setObserver(chObs);
-        }
-        icnt_->setObserver(oracle_.get());
-        for (auto &sm : sms_)
-            sm->setObserver(oracle_.get());
-        hostObs_ = oracle_.get();
+        wireObservers();
     }
+}
+
+void
+System::wireObservers()
+{
+    // One host-thread chain: trace -> recorder -> oracle, each
+    // forwarding every hook to the next enabled one.
+    PipeObserver *head = oracle_.get();
+    if (recorder_)
+        head = recorder_.get();
+    if (trace_) {
+        trace_->setNext(head);
+        head = trace_.get();
+    }
+    hostObs_ = head;
+    if (!head)
+        return;
+
+    // Host-side sources feed the chain directly. Channel-side ones
+    // do too in a sequential run; under the partitioned driver their
+    // hooks go through the channel's mailbox and the host replays
+    // them into hostObs_ (applyCrossMsg), so the chain only ever runs
+    // on the host thread.
+    if (partitioned_ && relays_.empty()) {
+        for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch)
+            relays_.push_back(std::make_unique<ObserverRelay>(
+                *mailboxes_[ch], *chEqs_[ch], ch));
+    }
+    for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch) {
+        PipeObserver *chObs = partitioned_ ? relays_[ch].get() : head;
+        mcs_[ch]->setObserver(chObs);
+        slices_[ch]->setObserver(chObs);
+    }
+    icnt_->setObserver(head);
+    for (auto &sm : sms_)
+        sm->setObserver(head);
 }
 
 void
@@ -175,20 +185,7 @@ System::enableRecording(CommitLogWriter &writer)
         olight_fatal("enableRecording must be called before run()");
     recorder_ =
         std::make_unique<RecordingObserver>(writer, oracle_.get());
-    hostObs_ = recorder_.get();
-    // Re-point every hook source that feeds the oracle directly. In
-    // partitioned mode the channel-side sources (MCs, slices) keep
-    // their mailbox relays — applyCrossMsg routes through hostObs_,
-    // so their records are appended on the host thread only.
-    if (!partitioned_) {
-        for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch) {
-            mcs_[ch]->setObserver(recorder_.get());
-            slices_[ch]->setObserver(recorder_.get());
-        }
-    }
-    icnt_->setObserver(recorder_.get());
-    for (auto &sm : sms_)
-        sm->setObserver(recorder_.get());
+    wireObservers();
 }
 
 void
@@ -230,17 +227,10 @@ System::setCoherenceFlush(std::vector<HostArraySpec> arrays)
 void
 System::enableTrace(std::ostream &os, TraceFormat format)
 {
-    if (partitioned_)
-        olight_fatal("packet tracing serializes the pipe; run with "
-                     "simJobs=1");
-    trace_ = std::make_unique<TraceWriter>(os, format);
-    for (auto &mc : mcs_)
-        mc->setTrace(trace_.get());
-    for (auto &slice : slices_)
-        slice->setTrace(trace_.get());
-    icnt_->setTrace(trace_.get());
-    for (auto &sm : sms_)
-        sm->setTrace(trace_.get());
+    if (ran_)
+        olight_fatal("enableTrace must be called before run()");
+    trace_ = std::make_unique<TraceObserver>(os, format, eq_);
+    wireObservers();
 }
 
 void
@@ -292,96 +282,17 @@ System::enableSampling(std::ostream &os, Tick interval)
 bool
 System::stepSim(bool burst)
 {
-    // Canonical-order merge across the channel queues and the host
-    // queue: execute the earliest head under (tick, priority, stamp,
-    // source); a full tie falls to the scan order — channels first,
-    // in channel order, then the host — mirroring the phase order of
-    // the windowed driver. Full ties only arise between events with
-    // no ordering constraint (e.g. one host event delivering into
-    // two different channels), so the pick never changes results.
-    // `second` tracks the runner-up head so the burst loop below can
-    // keep executing from `best` without re-reading 17 heap fronts
-    // per event.
-    // Collapsed mode: one heap already holds the canonical order, so
-    // stepping is exactly the classic single-queue loop — no scan, no
-    // runner-up, no preemption bound, no merged-clock broadcast (the
-    // facades read the master's own clock via clockPtr). The
-    // single-step form exists for the CGA drain poll, which must see
-    // every event boundary.
-    if (collapsed_) {
-        if (!eq_.step())
-            return false;
-        if (sampler_)
-            sampler_->poll();
-        while (burst && eq_.step()) {
-            if (sampler_)
-                sampler_->poll();
-        }
-        return true;
-    }
-
-    EventQueue *best = nullptr;
-    const EventQueue *second = nullptr;
-    auto consider = [&](EventQueue *q) {
-        if (q->empty())
-            return;
-        if (!best) {
-            best = q;
-        } else if (q->frontBefore(*best)) {
-            second = best;
-            best = q;
-        } else if (!second || q->frontBefore(*second)) {
-            second = q;
-        }
-    };
-    for (auto &q : chEqs_)
-        consider(q.get());
-    consider(&eq_);
-    if (!best)
+    // The sequential driver: one heap holds the canonical order, so
+    // stepping is the classic single-queue loop. The single-step form
+    // exists for the flush and CGA drain polls, which must see every
+    // event boundary.
+    if (!eq_.step())
         return false;
-
-    // Only the executing queue runs on its own clock and stamps with
-    // its own source id; every other queue reads the merged clock
-    // and records (merged tick, source 0) on anything scheduled into
-    // it — the windowed driver's setExternalSource discipline for
-    // host->channel deliveries, and a no-op for the host queue whose
-    // own id is 0. The routing also wires crossMin_ so the earliest
-    // key pushed into any non-executing queue is visible below.
-    if (best != mergedExec_) {
-        if (mergedExec_)
-            mergedExec_->setExternalNow(&mergedNow_, 0, &crossMin_,
-                                        &crossMinValid_);
-        best->clearExternalNow();
-        mergedExec_ = best;
-    }
-    // The scan above read every live front, so accumulated pushes
-    // are already accounted for; start the burst bound fresh.
-    crossMinValid_ = false;
-
-    // Burst: events cluster by domain (an SM's collect chain on the
-    // host queue, a DRAM timing cascade on a channel queue), so keep
-    // stepping `best` while its head still sorts strictly before the
-    // runner-up captured above AND before the earliest key pushed
-    // into any other queue since the scan (crossMin_). Most
-    // cross-domain pushes carry the interconnect latency and land
-    // far in the future, so they don't end the burst — only a push
-    // that could actually preempt does. Any such push, tie, or
-    // exhaustion falls back to a full rescan on the next call; the
-    // executed sequence is identical to the one-event-per-scan
-    // driver, just cheaper to find. The merged clock needs no
-    // per-event broadcast either: non-executing queues *read* their
-    // time through mergedNow_ (see EventQueue::now).
-    for (;;) {
-        mergedNow_ = best->nextTick();
-        best->step();
+    if (sampler_)
+        sampler_->poll();
+    while (burst && eq_.step()) {
         if (sampler_)
             sampler_->poll();
-        if (!burst || best->empty())
-            break;
-        if (crossMinValid_ && !best->frontBefore(crossMin_))
-            break;
-        if (second && !best->frontBefore(*second))
-            break;
     }
     return true;
 }
@@ -433,27 +344,27 @@ System::run()
     if (ran_)
         olight_fatal("System::run() may only be called once");
     ran_ = true;
-    return partitioned_ ? runPartitioned() : runSequential();
+    if (partitioned_)
+        runPartitioned();
+    else
+        runSequential();
+
+    checkCompletion();
+    if (oracle_)
+        oracle_->finalize();
+    if (pimDoneTick_ == 0)
+        pimDoneTick_ = pimFinishTick();
+
+    Tick finish = std::max(eq_.now(), pimDoneTick_);
+    for (const auto &q : chEqs_)
+        finish = std::max(finish, q->now());
+    return collectMetrics(stats_, cfg_, finish, host_->finishTick());
 }
 
-RunMetrics
+void
 System::runSequential()
 {
-    if (collapsed_) {
-        // One heap holds everything; the facades only need their
-        // clock routed to the master's own tick. No min-push sink: a
-        // push into the master is just a heap insert the drive loop
-        // will pop in order, not a cross-queue preemption.
-        eq_.beginCollapsedRun();
-        for (auto &q : chEqs_)
-            q->setExternalNow(eq_.clockPtr(), 0);
-    } else {
-        eq_.setExternalNow(&mergedNow_, 0, &crossMin_,
-                           &crossMinValid_);
-        for (auto &q : chEqs_)
-            q->setExternalNow(&mergedNow_, 0, &crossMin_,
-                              &crossMinValid_);
-    }
+    eq_.beginCollapsedRun();
 
     bool cga_phase =
         cfg_.arbitration == ArbitrationGranularity::Coarse &&
@@ -485,7 +396,7 @@ System::runSequential()
 
     // Under CGA the drain poll below must run between single events
     // (host admission happens at the exact tick the kernel drains);
-    // otherwise bursts are safe — nothing external is polled.
+    // otherwise run straight through — nothing external is polled.
     while (stepSim(!cga_phase)) {
         if (cga_phase && pimDrained()) {
             // PIM kernel complete: admit the host's memory traffic.
@@ -504,17 +415,6 @@ System::runSequential()
         while (stepSim()) {
         }
     }
-
-    checkCompletion();
-    if (oracle_)
-        oracle_->finalize();
-    if (pimDoneTick_ == 0)
-        pimDoneTick_ = pimFinishTick();
-
-    Tick finish = std::max(eq_.now(), pimDoneTick_);
-    for (const auto &q : chEqs_)
-        finish = std::max(finish, q->now());
-    return collectMetrics(stats_, cfg_, finish, host_->finishTick());
 }
 
 /*
@@ -530,7 +430,9 @@ System::runSequential()
  *      channel-owned state; host-bound effects go to the mailbox.
  *   2. barrier, then the host drains the mailboxes in channel order,
  *      scheduling each message on the host queue at its applyTick
- *      under the sending domain's (stamp, source id).
+ *      under the originating event's (priority, stamp, source id)
+ *      with the channel as domain rank: the key that event holds in
+ *      the sequential driver's collapsed heap.
  *   3. host phase: the host queue runs to `end`. Host->channel
  *      deliveries go through pipe stages whose queues belong to the
  *      channels; those queues stamp with the host tick via
@@ -541,14 +443,12 @@ System::runSequential()
  * Safety: within a window the host trails the channels (it consumes
  * their mailbox output), and the channels never see host work of the
  * same window. Determinism: all cross-domain events merge by
- * (tick, priority, stamp, source, sequence), independent of worker
- * count and scheduling interleavings.
+ * (tick, priority, stamp, source, rank, sequence), independent of
+ * worker count and scheduling interleavings.
  */
-RunMetrics
+void
 System::runPartitioned()
 {
-    if (trace_ || sampler_)
-        olight_fatal("trace/sampling require simJobs=1");
     if (hasFlush_)
         olight_fatal("the coherence-flush prologue polls the host "
                      "stream per event; run with simJobs=1");
@@ -593,16 +493,6 @@ System::runPartitioned()
         profiles_[ch + 1].arenaGrows =
             mailboxes_[ch]->arena().grows();
     }
-
-    checkCompletion();
-    if (oracle_)
-        oracle_->finalize();
-    pimDoneTick_ = pimFinishTick();
-
-    Tick finish = std::max(eq_.now(), pimDoneTick_);
-    for (const auto &q : chEqs_)
-        finish = std::max(finish, q->now());
-    return collectMetrics(stats_, cfg_, finish, host_->finishTick());
 }
 
 Tick
@@ -668,8 +558,7 @@ System::drainMailboxes()
         DomainMailbox &box = *mailboxes_[ch];
         for (std::size_t i = 0; i < box.size(); ++i) {
             const CrossMsg *m = &box[i];
-            EventQueue::ExternalScope scope(
-                eq_, m->stamp, std::uint16_t(ch + 1));
+            EventQueue::ExternalScope scope(eq_, m->stamp, m->src, ch);
             // The message outlives the callback: arena storage is
             // recycled only at the *next* window's channel phase,
             // after every applyTick of this window has executed.
@@ -711,52 +600,56 @@ System::hostPhase(Tick end)
 void
 System::applyCrossMsg(const CrossMsg &m)
 {
+    // The replay runs as the sending channel's event: the collapsed
+    // heap records a push into that channel made while one of its own
+    // events executes under the channel's source id (collapsedPush),
+    // and a replay can make one — a host completion or credit wake
+    // pumps the host stream, which delivers into the channel inline.
+    EventQueue &own = *chEqs_[m.channel];
+    own.setExternalSource(&eq_, std::uint16_t(m.channel + 1));
     switch (m.kind) {
     case CrossMsg::Kind::Ack:
         if (m.pkt.smId < sms_.size())
             sms_[m.pkt.smId]->onAck(m.pkt);
-        return;
+        break;
     case CrossMsg::Kind::HostDone:
         host_->onDone(m.pkt);
-        return;
+        break;
     case CrossMsg::Kind::CreditWake:
         slices_[m.channel]->input().applyCreditRelease();
-        return;
+        break;
     case CrossMsg::Kind::StageEgress:
         hostObs_->onStageEgress(*m.name, m.pkt, m.a, m.b);
-        return;
+        break;
     case CrossMsg::Kind::OlReplicate:
         hostObs_->onOlReplicate(*m.name, m.pkt, m.extra);
-        return;
+        break;
     case CrossMsg::Kind::OlMergeIn:
         hostObs_->onOlMergeIn(*m.name, m.extra, m.pkt);
-        return;
+        break;
     case CrossMsg::Kind::OlMergeOut:
         hostObs_->onOlMergeOut(*m.name, m.pkt, m.extra);
-        return;
+        break;
     case CrossMsg::Kind::McAdmit:
         hostObs_->onMcAdmit(m.channel, m.pkt);
-        return;
+        break;
     case CrossMsg::Kind::McOrderLight:
         hostObs_->onMcOrderLight(m.channel, m.pkt);
-        return;
+        break;
     case CrossMsg::Kind::McCommit:
         hostObs_->onMcCommit(m.channel, m.pkt, m.a);
-        return;
+        break;
+    default:
+        olight_panic("unhandled cross-domain message kind");
     }
-    olight_panic("unhandled cross-domain message kind");
+    own.setExternalSource(&eq_, 0);
 }
 
 void
 System::onCreditRelease(std::uint16_t ch)
 {
-    CrossMsg m;
-    m.kind = CrossMsg::Kind::CreditWake;
-    m.channel = ch;
-    m.applyTick = chEqs_[ch]->now();
-    m.stamp = chEqs_[ch]->currentStamp();
-    m.prio = chEqs_[ch]->currentPrio();
-    mailboxes_[ch]->push(m);
+    mailboxes_[ch]->push(
+        relayMsg(CrossMsg::Kind::CreditWake, ch, *chEqs_[ch]));
 }
 
 void

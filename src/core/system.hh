@@ -60,7 +60,6 @@ class System
     const AddressMap &map() const { return map_; }
     StatSet &stats() { return stats_; }
     const StatSet &stats() const { return stats_; }
-    EventQueue &eq() { return eq_; }
 
     /** Whether the channel-partitioned driver will be / was used. */
     bool partitioned() const { return partitioned_; }
@@ -84,7 +83,9 @@ class System
      * (plus per-stage span rows); ChromeJson emits a trace_event
      * file with a span per pipeline stage of every packet's life
      * (SM collect -> interconnect -> L2 -> MC queue -> scheduled),
-     * ready for Perfetto / chrome://tracing.
+     * ready for Perfetto / chrome://tracing. The trace is a pipe
+     * observer (sim/trace.hh), so it works under every simJobs value
+     * and its bytes do not depend on it. Call before run().
      */
     void enableTrace(std::ostream &os,
                      TraceFormat format = TraceFormat::Csv);
@@ -153,10 +154,6 @@ class System
     {
         return *pims_.at(channel);
     }
-    MemoryController &controller(std::uint16_t channel)
-    {
-        return *mcs_.at(channel);
-    }
 
   private:
     struct PhaseCtx
@@ -175,10 +172,11 @@ class System
     bool pimDrained() const;
     bool stepSim(bool burst = true);
     void checkCompletion() const;
+    void wireObservers();
 
     // Partitioned driver (core/system.cc has the window protocol).
-    RunMetrics runSequential();
-    RunMetrics runPartitioned();
+    void runSequential();
+    void runPartitioned();
     Tick minNextTick() const;
     static void channelPhaseBody(void *ctx);
     void runChannelWindow(std::uint16_t ch, Tick end);
@@ -203,14 +201,14 @@ class System
         return std::size_t(cfg.banksPerChannel) * 16;
     }
 
-    /** Host-queue reservation: the collapsed driver holds every
-     *  domain's pending events in the one master heap, so it gets
+    /** Host-queue reservation: the sequential driver holds every
+     *  domain's pending events in the one collapsed heap, so it gets
      *  the sum of what the per-domain queues would have reserved. */
     static std::size_t
     masterHeapHint(const SystemConfig &cfg, const ExecPolicy &policy)
     {
         std::size_t n = hostHeapHint(cfg);
-        if (policy.simJobs <= 1 && policy.collapseSequential)
+        if (policy.simJobs <= 1)
             n += std::size_t(cfg.numChannels) * channelHeapHint(cfg);
         return n;
     }
@@ -218,7 +216,6 @@ class System
     SystemConfig cfg_;
     ExecPolicy policy_;
     bool partitioned_ = false;
-    bool collapsed_ = false;
     EventQueue eq_; ///< host-domain queue (SMs, icnt, host stream)
     StatSet stats_;
     SparseMemory mem_;
@@ -232,14 +229,6 @@ class System
     Tick lookahead_ = 0;
     std::uint64_t windows_ = 0;
 
-    // Sequential merge driver state (see stepSim). Non-executing
-    // queues read mergedNow_ as their clock and fold the key of
-    // anything scheduled into them into crossMin_.
-    Tick mergedNow_ = 0;
-    EventQueue *mergedExec_ = nullptr;
-    EventQueue::FrontKey crossMin_{};
-    bool crossMinValid_ = false;
-
     std::vector<std::unique_ptr<ChannelTiming>> timings_;
     std::vector<std::unique_ptr<PimUnit>> pims_;
     std::vector<std::unique_ptr<MemoryController>> mcs_;
@@ -248,12 +237,13 @@ class System
     std::vector<std::unique_ptr<Sm>> sms_;
     std::unique_ptr<HostStream> host_;
 
-    std::unique_ptr<TraceWriter> trace_;
+    std::unique_ptr<TraceObserver> trace_;
     std::unique_ptr<Sampler> sampler_;
     std::unique_ptr<OrderingOracle> oracle_;
     std::unique_ptr<RecordingObserver> recorder_;
-    /** Host-thread hook sink: the recorder when recording, else the
-     *  oracle. Mailbox-relayed hooks land here. */
+    /** Head of the host-thread observer chain trace -> recorder ->
+     *  oracle (whichever are enabled; see wireObservers). Mailbox-
+     *  relayed hooks land here. */
     PipeObserver *hostObs_ = nullptr;
     std::vector<std::vector<PimInstr>> streams_;
     bool hasKernel_ = false;

@@ -216,7 +216,9 @@ validateRun(const RunOptions &opts, std::string &why)
     }
     SystemConfig cfg =
         configFor(opts.mode, opts.tsBytes, opts.bmf, opts.base);
-    return cfg.check(why);
+    return cfg.check(why) &&
+           makeWorkload(opts.workload)
+               ->fitsElements(cfg, opts.elements, why);
 }
 
 bool
@@ -235,7 +237,7 @@ validateSweep(const SweepSpec &spec, std::string &why)
             for (std::uint32_t bmf : spec.bmfs)
                 if (!configFor(mode, ts, bmf, spec.base).check(why))
                     return false;
-    return true;
+    return checkSweepElements(spec, why);
 }
 
 } // namespace

@@ -23,11 +23,13 @@
  * and consumes their outputs through mailboxes, so it observes every
  * channel effect at the exact tick a global queue would have.
  *
- * Determinism: mailbox messages carry the sending domain's
- * (scheduling tick, domain id) and are drained in channel order at
- * the barrier; the receiving queue merges them by
- * (tick, priority, stamp, source id, sequence) — see
- * sim/event_queue.hh — so results are bit-identical for every
+ * Determinism: a mailbox message carries the originating event's
+ * (tick, priority, stamp, source id) and is replayed on the host
+ * queue under that key with the channel as its domain rank, so it
+ * sorts exactly where the originating event sits in the sequential
+ * driver's collapsed heap (the relay rule; see sim/event_queue.hh).
+ * Results, and the observer hook stream the oracle, the recorder and
+ * the packet trace consume, are therefore bit-identical for every
  * worker count, which the golden byte-identity tests enforce.
  *
  * Memory discipline: each mailbox draws its storage from a
@@ -48,6 +50,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/pim_isa.hh"
@@ -77,21 +80,15 @@ inline constexpr std::size_t kInterferenceSize = 64;
  */
 struct ExecPolicy
 {
-    /** Intra-run event-execution workers: 1 = the classic
-     *  single-queue path, N > 1 = channel-partitioned domains
-     *  advanced by min(N, channels) workers. */
+    /** Intra-run event-execution workers: 1 = the sequential
+     *  driver (every domain collapsed into one heap), N > 1 =
+     *  channel-partitioned domains advanced by min(N, channels)
+     *  workers. */
     unsigned simJobs = 1;
 
     /** Collect per-domain self-profiling (execution time, lookahead
      *  stalls, mailbox traffic) for --profile-domains output. */
     bool profileDomains = false;
-
-    /** simJobs==1 only: collapse every channel domain into the host
-     *  queue (EventQueue::collapseInto) so a sequential run pops the
-     *  canonical order from one heap instead of merging 17. Results
-     *  are bit-identical either way; tests set this false to pin the
-     *  multi-queue merge driver against the collapsed fast path. */
-    bool collapseSequential = true;
 };
 
 /** Self-profiling counters of one event domain (padded: each domain
@@ -116,27 +113,44 @@ struct CrossMsg
         Ack,          ///< MC fence ack -> Sm::onAck
         HostDone,     ///< host request completion -> HostStream
         CreditWake,   ///< L2 input credit release (deferred slot free)
-        StageEgress,  ///< oracle relay: PipeStage onStageEgress
-        OlReplicate,  ///< oracle relay: divergence FSM
-        OlMergeIn,    ///< oracle relay: convergence FSM input
-        OlMergeOut,   ///< oracle relay: convergence FSM output
-        McAdmit,      ///< oracle relay: MC queue admit
-        McOrderLight, ///< oracle relay: OL marker at the MC
-        McCommit,     ///< oracle relay: command-bus commit
+        StageEgress,  ///< observer relay: PipeStage onStageEgress
+        OlReplicate,  ///< observer relay: divergence FSM
+        OlMergeIn,    ///< observer relay: convergence FSM input
+        OlMergeOut,   ///< observer relay: convergence FSM output
+        McAdmit,      ///< observer relay: MC queue admit
+        McOrderLight, ///< observer relay: OL marker at the MC
+        McCommit,     ///< observer relay: command-bus commit
     };
 
     Kind kind;
     std::uint16_t channel = 0;
     Tick applyTick = 0; ///< tick the effect takes place at the host
-    Tick stamp = 0;     ///< originating event's stamp (merge key)
+    Tick stamp = 0;     ///< originating event's stamp (relay key)
     EventPriority prio =
         EventPriority::Default; ///< originating event's priority
+    std::uint16_t src = 0; ///< originating event's source id
     const std::string *name = nullptr; ///< stage/point (stable ref)
     Tick a = 0;         ///< hook begin tick / colTick
     Tick b = 0;         ///< hook end tick
     std::uint32_t extra = 0; ///< copies / path index
     Packet pkt;
 };
+
+/** A mailbox message for an effect of the event @p eq (channel
+ *  @p channel's queue) is executing, keyed as that event. */
+inline CrossMsg
+relayMsg(CrossMsg::Kind kind, std::uint16_t channel,
+         const EventQueue &eq)
+{
+    CrossMsg m;
+    m.kind = kind;
+    m.channel = channel;
+    m.applyTick = eq.now();
+    m.stamp = eq.currentStamp();
+    m.prio = eq.currentPrio();
+    m.src = eq.currentSrc();
+    return m;
+}
 
 /**
  * Single-producer mailbox of one channel domain, drained by the
@@ -150,7 +164,30 @@ class DomainMailbox
   public:
     DomainMailbox() : msgs_(arena_) {}
 
-    CrossMsg &push(const CrossMsg &msg) { return msgs_.push_back(msg); }
+    /**
+     * Append @p msg, raised to the previous message's key if it would
+     * sort before it. A channel queue can pop an event below its
+     * running key (a same-tick, lower-priority follow-up the executing
+     * event pushed); the collapsed heap pops that event right after
+     * its cause, so its replay must not sort back among other domains'
+     * events. A window's first message needs no check: every earlier
+     * window's ticks lie before it.
+     */
+    CrossMsg &
+    push(CrossMsg msg)
+    {
+        if (!msgs_.empty()) {
+            const CrossMsg &last = msgs_[msgs_.size() - 1];
+            if (msg.applyTick == last.applyTick &&
+                std::tie(msg.prio, msg.stamp, msg.src) <
+                    std::tie(last.prio, last.stamp, last.src)) {
+                msg.prio = last.prio;
+                msg.stamp = last.stamp;
+                msg.src = last.src;
+            }
+        }
+        return msgs_.push_back(msg);
+    }
 
     std::size_t size() const { return msgs_.size(); }
     bool empty() const { return msgs_.empty(); }
@@ -173,8 +210,8 @@ class DomainMailbox
 
 /**
  * Pipe observer that forwards channel-side hooks into the channel's
- * mailbox instead of touching the (host-owned, unordered_map-heavy)
- * OrderingOracle from a worker thread. The host replays the hooks
+ * mailbox instead of touching the host-owned observer chain (trace,
+ * recorder, oracle) from a worker thread. The host replays the hooks
  * in deterministic order when it drains the mailbox. Stage and point
  * names are passed by pointer: they are stable members of the
  * observed components.
@@ -253,12 +290,7 @@ class ObserverRelay final : public PipeObserver
     CrossMsg
     base(CrossMsg::Kind kind, const Packet &pkt) const
     {
-        CrossMsg m;
-        m.kind = kind;
-        m.channel = channel_;
-        m.applyTick = eq_.now();
-        m.stamp = eq_.currentStamp();
-        m.prio = eq_.currentPrio();
+        CrossMsg m = relayMsg(kind, channel_, eq_);
         m.pkt = pkt;
         return m;
     }
@@ -293,11 +325,6 @@ class WorkerGang
 
     /** Run the body once on every participant; blocks until done. */
     void round();
-
-    unsigned participants() const
-    {
-        return unsigned(threads_.size()) + 1;
-    }
 
   private:
     void workerLoop();

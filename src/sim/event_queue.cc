@@ -10,18 +10,6 @@ namespace olight
 void
 EventQueue::push(Entry entry)
 {
-    if (extMinPush_) {
-        FrontKey &k = *extMinPush_;
-        const bool better =
-            !*extMinPushValid_ || entry.when < k.when ||
-            (entry.when == k.when &&
-             (entry.order < k.order ||
-              (entry.order == k.order && entry.src() < k.src)));
-        if (better) {
-            k = FrontKey{entry.when, entry.order, entry.src()};
-            *extMinPushValid_ = true;
-        }
-    }
     if (heap_.size() == heap_.capacity())
         ++regrows_;
     // Hole-based sift-up: move parents down into the hole until the
@@ -87,7 +75,7 @@ EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
     push(Entry{when,
                packOrder(std::uint8_t(static_cast<int>(prio)),
                          scheduleStamp()),
-               packOrder2(scheduleSrc(), ownRank_, nextSeq_++),
+               packOrder2(scheduleSrc(), scheduleRank(), nextSeq_++),
                std::move(cb)});
 }
 
@@ -106,7 +94,7 @@ EventQueue::scheduleAt(Tick when, RawFn fn, void *ctx,
     push(Entry{when,
                packOrder(std::uint8_t(static_cast<int>(prio)),
                          scheduleStamp()),
-               packOrder2(scheduleSrc(), ownRank_, nextSeq_++),
+               packOrder2(scheduleSrc(), scheduleRank(), nextSeq_++),
                Callback(fn, ctx)});
 }
 
@@ -144,6 +132,7 @@ EventQueue::step()
     now_ = entry.when;
     execStamp_ = entry.stamp();
     execPrio_ = entry.prio();
+    execSrc_ = entry.src();
     execDom_ = entry.dom();
     ++numExecuted_;
     entry.cb();

@@ -9,17 +9,13 @@
  * per-queue sequence), where the stamp is the scheduling-domain tick
  * of the event that caused the schedule and the domain rank encodes
  * the fixed cross-queue tie-break (channels in channel order, host
- * last). Three drivers realize that same order: a sequential run
- * collapses every domain into the host queue (collapseInto) so one
- * heap pops the canonical order directly with no per-event merge; the
- * multi-queue merge driver, System::stepSim, keeps the domains on
- * separate heaps and merges them on one thread (non-executing queues
- * read the executing queue's clock via setExternalNow and report
- * preempting pushes through a shared minimum-key sink, so the driver
- * can burst-execute one queue without rescanning after every event);
- * in parallel, a worker gang advances the channel queues in
- * conservative lookahead windows with cross-domain handoffs carrying
- * the (stamp, source) pair through mailboxes. Results are
+ * last). Two drivers realize that same order. A sequential run
+ * collapses every domain into the host queue (collapseInto), so one
+ * heap pops the canonical order directly. In parallel, a worker gang
+ * advances the channel queues in conservative lookahead windows;
+ * cross-domain handoffs carry the originating event's (stamp,
+ * source, rank) through mailboxes and replay at exactly the key that
+ * event holds in the collapsed heap (the relay rule). Results are
  * bit-identical for every driver and worker count.
  * docs/INTERNALS.md section 12 has the full determinism argument.
  *
@@ -64,8 +60,9 @@ enum class EventPriority : int
 /**
  * The event queue of one execution domain.
  *
- * A sequential System owns exactly one; a partitioned System owns
- * one per channel domain plus one for the host domain. Components
+ * A System owns one per channel domain plus one for the host domain;
+ * in a sequential run the channel queues are collapse facades of
+ * the host queue, which then holds every pending event. Components
  * capture a reference and schedule closures; a queue is only ever
  * advanced by one thread at a time (the phase barriers in the
  * partitioned driver guarantee exclusivity), so no locking is
@@ -85,32 +82,34 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Current simulated time. While the merge driver has this
-     *  queue routed to its merged clock (setExternalNow), that clock
-     *  *is* the queue's time: components invoked synchronously
-     *  across a domain boundary read the same tick a single global
-     *  queue would show, with no per-event clock broadcast. */
-    Tick now() const { return extNowPtr_ ? *extNowPtr_ : now_; }
-
-    /** The queue's own clock word, for routing facades directly at a
-     *  collapse master (step() raises it before the callback runs, so
-     *  a facade pointed here always reads the executing tick with no
-     *  per-event broadcast). */
-    const Tick *clockPtr() const { return &now_; }
+    /** Current simulated time. A collapse facade reads its master's
+     *  clock (step() raises it before the callback runs), so
+     *  components on a collapsed channel domain see the executing
+     *  tick with no per-event clock broadcast. */
+    Tick now() const { return collapse_ ? collapse_->now_ : now_; }
 
     /**
      * Stamp of the event currently executing (its scheduling-domain
      * tick). Cross-domain relays record this, not now(), as the
-     * merge stamp: a relayed effect must sort where the *original*
+     * relay stamp: a relayed effect must sort where the *original*
      * event would have — e.g. an MC ack scheduled at T-680 but
-     * firing at T still merges before host events stamped inside
-     * (T-680, T], exactly as in a single global queue.
+     * firing at T still sorts before host events stamped inside
+     * (T-680, T], exactly as in the collapsed heap.
      */
     Tick currentStamp() const { return execStamp_; }
 
     /**
-     * Priority of the event currently executing. The other half of
-     * the relay key: a synchronous effect of a DramTiming-priority
+     * Source id of the event currently executing: the third part of
+     * the relay key. It tells a channel's self-scheduled event
+     * (source 1+ch) from a host delivery into the channel (source 0),
+     * which sort on opposite sides of a same-(tick, priority, stamp)
+     * host event.
+     */
+    std::uint16_t currentSrc() const { return execSrc_; }
+
+    /**
+     * Priority of the event currently executing. Also part of the
+     * relay key: a synchronous effect of a DramTiming-priority
      * event (an MC ack fired from the command-bus commit) precedes
      * every same-tick Default-priority event in a global queue, so
      * its replay must be scheduled at the original priority, not
@@ -129,23 +128,6 @@ class EventQueue
      *  every pending event, inline capture buffers included). */
     std::uint64_t heapRegrows() const { return regrows_; }
 
-    /** Monotone count of events ever scheduled here (the insertion-
-     *  sequence high-water mark). */
-    std::uint64_t scheduleCount() const { return nextSeq_; }
-
-    /** Canonical merge key of one event, without the per-queue
-     *  sequence (sequences are not comparable across queues). The
-     *  merge driver accumulates the minimum key pushed into any
-     *  non-executing queue to know when a cross-domain schedule
-     *  could preempt the current execution burst. `order` is the
-     *  packed (priority, stamp) word of Entry::order. */
-    struct FrontKey
-    {
-        Tick when = 0;
-        std::uint64_t order = 0;
-        std::uint16_t src = 0;
-    };
-
     /** True when no events remain. */
     bool empty() const { return heap_.empty(); }
 
@@ -155,68 +137,19 @@ class EventQueue
     /** Tick of the earliest pending event. @pre !empty() */
     Tick nextTick() const { return heap_.front().when; }
 
-    /**
-     * Merge comparison for the sequential multi-queue driver: does
-     * this queue's earliest event sort strictly before @p other's
-     * under the canonical (tick, priority, stamp, source) key?
-     * Sequence numbers are per-queue counters and not comparable
-     * across queues; a full tie returns false so the caller's fixed
-     * scan order decides (channels first, host last — the same
-     * precedence the windowed driver's phases impose).
-     * @pre neither queue is empty.
-     */
-    bool
-    frontBefore(const EventQueue &other) const
-    {
-        const Entry &a = heap_.front();
-        const Entry &b = other.heap_.front();
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.order != b.order)
-            return a.order < b.order;
-        return a.src() < b.src();
-    }
-
-    /** Does this queue's earliest event sort strictly before key
-     *  @p k under the same canonical order? @pre !empty(). */
-    bool
-    frontBefore(const FrontKey &k) const
-    {
-        const Entry &a = heap_.front();
-        if (a.when != k.when)
-            return a.when < k.when;
-        if (a.order != k.order)
-            return a.order < k.order;
-        return a.src() < k.src;
-    }
-
-    /** Raise the queue's own clock to @p t without running anything
-     *  (the external-now routing above covers the merge driver; this
-     *  is for tests and explicit clock hand-off). @pre no pending
-     *  event < t. */
-    void
-    advanceTo(Tick t)
-    {
-        if (t > now_)
-            now_ = t;
-    }
-
     /** Stable id stamped on events this queue schedules for itself
-     *  (the partitioned driver gives each domain a distinct id; a
-     *  sequential queue keeps the default 0). */
+     *  (channel ch's queue carries 1+ch in both drivers; the host
+     *  queue keeps the default 0). */
     void setSourceId(std::uint16_t id) { ownSrc_ = checkRank8(id); }
 
     /**
-     * Collapsed sequential mode: turn this queue into a forwarding
-     * facade of @p master. Every schedule is pushed into the master
-     * heap carrying @p rank as its domain rank, so one heap pops the
-     * exact order the multi-queue merge driver would have produced:
-     * the rank reproduces the driver's fixed scan-order tie-break
-     * (channel queues in channel order, host queue last) and the
-     * master synthesizes the (stamp, source) pair a push into this
-     * queue would have recorded (see collapsedPush). A facade never
-     * holds events; its clock is routed to the master's merged clock
-     * via setExternalNow exactly as in merge mode.
+     * Sequential mode: turn this queue into a forwarding facade of
+     * @p master. Every schedule is pushed into the master heap
+     * carrying @p rank as its domain rank (channel queues in channel
+     * order, host queue last), and the master synthesizes the
+     * (stamp, source) pair the windowed driver would have recorded
+     * for a push into this queue (see collapsedPush). A facade never
+     * holds events; now() reads the master's clock.
      */
     void
     collapseInto(EventQueue *master, std::uint16_t rank)
@@ -225,19 +158,20 @@ class EventQueue
         collapseRank_ = checkRank8(rank);
     }
 
-    /** Master side of a collapse: the domain rank recorded on events
-     *  this queue schedules for itself (the host queue ranks after
-     *  every channel facade, matching the merge driver's scan). */
+    /** The domain rank recorded on events this queue schedules for
+     *  itself. The host queue ranks after every channel in both
+     *  drivers: after the channel facades in the collapsed heap, and
+     *  after the channel-ranked relay replays in the windowed one. */
     void setOwnRank(std::uint16_t rank) { ownRank_ = checkRank8(rank); }
 
     /**
      * Master side of a collapse: construction is over, execution
      * begins. Code that runs outside any event from here on (SM /
      * host-stream start, drain polls) is host-driver code, so facade
-     * pushes it performs must record source 0 — the value merge mode's
-     * external-now routing would have stamped. Before this call such
-     * pushes keep the facade's own source id, mirroring a
-     * construction-time schedule into a not-yet-routed channel queue.
+     * pushes it performs record source 0, the id of a host-side
+     * delivery into a channel. Before this call such pushes keep the
+     * facade's own source id, as a construction-time schedule into a
+     * channel queue does.
      */
     void beginCollapsedRun() { execDom_ = ownRank_; }
 
@@ -266,9 +200,9 @@ class EventQueue
                          void *ctx,
                          EventPriority prio = EventPriority::Wakeup);
 
-    /** Schedule @p cb @p delta ticks from now() — the routed merged
-     *  clock when one is active, so cross-domain deliveries compute
-     *  their latency from the true current tick. */
+    /** Schedule @p cb @p delta ticks from now() — the master's clock
+     *  on a collapse facade, so cross-domain deliveries compute their
+     *  latency from the true current tick. */
     void
     scheduleIn(Tick delta, Callback cb,
                EventPriority prio = EventPriority::Default)
@@ -278,21 +212,23 @@ class EventQueue
 
     /**
      * Scope for scheduling events on behalf of *another* domain:
-     * while active, scheduled events carry the given (stamp, source)
-     * instead of this queue's (now, own id). The partitioned driver
-     * wraps every cross-domain handoff in one of these so same-tick
-     * arrivals merge in the sending domain's scheduling order — the
-     * same order a single global queue would have recorded.
+     * while active, scheduled events carry the given (stamp, source,
+     * rank) instead of this queue's (now, own id, own rank). The
+     * partitioned driver replays every mailbox message under one of
+     * these with the originating event's key, so the replay sorts
+     * where that event sits in the collapsed heap.
      */
     class ExternalScope
     {
       public:
-        ExternalScope(EventQueue &eq, Tick stamp, std::uint16_t src)
+        ExternalScope(EventQueue &eq, Tick stamp, std::uint16_t src,
+                      std::uint16_t rank)
             : eq_(eq)
         {
             eq_.extActive_ = true;
             eq_.extStamp_ = stamp;
             eq_.extSrc_ = checkRank8(src);
+            eq_.extRank_ = checkRank8(rank);
         }
         ~ExternalScope() { eq_.extActive_ = false; }
         ExternalScope(const ExternalScope &) = delete;
@@ -318,40 +254,6 @@ class EventQueue
         extQueueSrc_ = checkRank8(src);
     }
     void clearExternalSource() { extQueue_ = nullptr; }
-
-    /**
-     * Merge-driver variant of the external source: while set, the
-     * queue reads its time through @p now, and events scheduled here
-     * carry @p src and that tick as their stamp. The sequential
-     * driver keeps every non-executing queue pointed at its merged
-     * clock with source 0 (the id of whichever foreign domain's code
-     * is running), so a host-side delivery into a channel queue gets
-     * the same (stamp, source) the windowed driver's
-     * setExternalSource path would record. @p minPush /
-     * @p minPushValid, when given, accumulate the minimum canonical
-     * key pushed into this queue — one shared sink across all
-     * non-executing queues tells the driver whether any cross-domain
-     * schedule could preempt its current burst, without re-reading
-     * any fronts (most cross-domain pushes carry the interconnect
-     * latency and land far in the future).
-     */
-    void
-    setExternalNow(const Tick *now, std::uint16_t src,
-                   FrontKey *minPush = nullptr,
-                   bool *minPushValid = nullptr)
-    {
-        extNowPtr_ = now;
-        extNowSrc_ = checkRank8(src);
-        extMinPush_ = minPush;
-        extMinPushValid_ = minPushValid;
-    }
-    void
-    clearExternalNow()
-    {
-        extNowPtr_ = nullptr;
-        extMinPush_ = nullptr;
-        extMinPushValid_ = nullptr;
-    }
 
     /**
      * Run events until the queue is empty or @p limit is reached.
@@ -461,15 +363,14 @@ class EventQueue
     void push(Entry entry);
     Entry popTop();
 
-    /** Record a facade's schedule in this (master) heap. The source
-     *  is synthesized to match what a push into the facade would have
-     *  recorded under the merge driver: the facade's own id when the
-     *  currently executing event belongs to the same domain (merge
-     *  mode clears the executing queue's external routing) or when
-     *  still constructing, else 0 (the external-now source every
-     *  non-executing queue carries). The stamp is this queue's
-     *  current tick — identical to the merged clock the facade would
-     *  have read. */
+    /** Record a facade's schedule in this (master) heap under the key
+     *  the windowed driver records for the same push. The source is
+     *  the facade's own id when the executing event belongs to the
+     *  facade's domain (a channel scheduling for itself) or while
+     *  still constructing; otherwise it is 0, the source every
+     *  host-phase delivery into a channel queue carries
+     *  (setExternalSource). The stamp is this queue's current tick,
+     *  the executing event's tick in either case. */
     void collapsedPush(Tick when, Callback cb, EventPriority prio,
                        std::uint16_t rank, std::uint16_t facadeSrc);
 
@@ -481,8 +382,6 @@ class EventQueue
             return extStamp_;
         if (extQueue_)
             return extQueue_->now();
-        if (extNowPtr_)
-            return *extNowPtr_;
         return now_;
     }
     std::uint16_t
@@ -492,9 +391,12 @@ class EventQueue
             return extSrc_;
         if (extQueue_)
             return extQueueSrc_;
-        if (extNowPtr_)
-            return extNowSrc_;
         return ownSrc_;
+    }
+    std::uint16_t
+    scheduleRank() const
+    {
+        return extActive_ ? extRank_ : ownRank_;
     }
 
     /** 4-ary min-heap on (when, order, order2) over heap_. */
@@ -505,6 +407,7 @@ class EventQueue
     Tick execStamp_ = 0;
     std::uint8_t execPrio_ =
         std::uint8_t(static_cast<int>(EventPriority::Default));
+    std::uint16_t execSrc_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t numExecuted_ = 0;
     std::uint64_t regrows_ = 0;
@@ -522,12 +425,9 @@ class EventQueue
     bool extActive_ = false;
     Tick extStamp_ = 0;
     std::uint16_t extSrc_ = 0;
+    std::uint16_t extRank_ = 0;
     const EventQueue *extQueue_ = nullptr;
     std::uint16_t extQueueSrc_ = 0;
-    const Tick *extNowPtr_ = nullptr;
-    std::uint16_t extNowSrc_ = 0;
-    FrontKey *extMinPush_ = nullptr;
-    bool *extMinPushValid_ = nullptr;
 };
 
 } // namespace olight

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "sim/json.hh"
+#include "sim/logging.hh"
 
 namespace olight
 {
@@ -94,6 +95,59 @@ TraceWriter::span(Tick begin, Tick end, const std::string &stage,
     chromeEventHead("E", end, stage, pktId);
     os_ << "}";
     rows_ += 2;
+}
+
+void
+TraceObserver::onCollectorInject(const Packet &pkt, Tick begin,
+                                 Tick end)
+{
+    writer_.span(begin, end,
+                 "sm" + std::to_string(pkt.smId) + ".collect", pkt.id,
+                 pkt.describe());
+    PipeObserver::onCollectorInject(pkt, begin, end);
+}
+
+void
+TraceObserver::onStageEgress(const std::string &stage,
+                             const Packet &pkt, Tick begin, Tick end)
+{
+    writer_.span(begin, end, stage, pkt.id, pkt.describe());
+    PipeObserver::onStageEgress(stage, pkt, begin, end);
+}
+
+void
+TraceObserver::onMcAdmit(std::uint16_t channel, const Packet &pkt)
+{
+    writer_.record(clock_.now(), "mc" + std::to_string(channel),
+                   "arrive", pkt.describe());
+    admitTick_[pkt.id] = clock_.now();
+    PipeObserver::onMcAdmit(channel, pkt);
+}
+
+void
+TraceObserver::onMcOrderLight(std::uint16_t channel, const Packet &pkt)
+{
+    writer_.record(clock_.now(), "mc" + std::to_string(channel),
+                   "arrive", pkt.describe());
+    PipeObserver::onMcOrderLight(channel, pkt);
+}
+
+void
+TraceObserver::onMcCommit(std::uint16_t channel, const Packet &pkt,
+                          Tick colTick)
+{
+    auto admitted = admitTick_.find(pkt.id);
+    if (admitted == admitTick_.end())
+        olight_panic("trace: packet ", pkt.id,
+                     " committed without an MC admit");
+    const Tick now = clock_.now();
+    const std::string mc = "mc" + std::to_string(channel);
+    const std::string detail = pkt.describe();
+    writer_.record(now, mc, "schedule", detail);
+    writer_.span(admitted->second, now, mc + ".queue", pkt.id, detail);
+    writer_.span(now, colTick, mc + ".sched", pkt.id, detail);
+    admitTick_.erase(admitted);
+    PipeObserver::onMcCommit(channel, pkt, colTick);
 }
 
 } // namespace olight

@@ -17,6 +17,10 @@
  * record() marks point events (packet arrivals, scheduler picks);
  * span() marks an interval of a packet's life. In Csv mode spans
  * become single "span" rows carrying the begin tick and duration.
+ *
+ * A System's trace is a TraceObserver: the rows come from the same
+ * PipeObserver hooks the ordering oracle and the commit-log recorder
+ * consume, so tracing works under every driver and worker count.
  */
 
 #ifndef OLIGHT_SIM_TRACE_HH
@@ -25,8 +29,11 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
+#include "verify/observer.hh"
 
 namespace olight
 {
@@ -47,8 +54,6 @@ class TraceWriter
     ~TraceWriter();
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
-
-    TraceFormat format() const { return format_; }
 
     /** Append one point event. */
     void record(Tick tick, const std::string &component,
@@ -79,6 +84,42 @@ class TraceWriter
     bool firstEvent_ = true;
     bool closed_ = false;
     std::uint64_t rows_ = 0;
+};
+
+/**
+ * The packet trace as the head of a System's observer chain. Rows
+ * come from hooks: onCollectorInject (smN.collect span),
+ * onStageEgress (one span per queue stage), onMcAdmit and
+ * onMcOrderLight (mcN arrive), onMcCommit (mcN schedule, then the
+ * mcN.queue admit-to-issue and mcN.sched issue-to-column spans). MC
+ * hooks carry no tick, so MC rows read @p clock, the host queue,
+ * where partitioned runs replay channel-side hooks at their tick.
+ */
+class TraceObserver final : public PipeObserver
+{
+  public:
+    TraceObserver(std::ostream &os, TraceFormat format,
+                  const EventQueue &clock)
+        : writer_(os, format), clock_(clock)
+    {
+    }
+
+    void onCollectorInject(const Packet &pkt, Tick begin,
+                           Tick end) override;
+    void onStageEgress(const std::string &stage, const Packet &pkt,
+                       Tick begin, Tick end) override;
+    void onMcAdmit(std::uint16_t channel, const Packet &pkt) override;
+    void onMcOrderLight(std::uint16_t channel,
+                        const Packet &pkt) override;
+    void onMcCommit(std::uint16_t channel, const Packet &pkt,
+                    Tick colTick) override;
+
+  private:
+    TraceWriter writer_;
+    const EventQueue &clock_;
+    /** MC admit tick of every queued request, by packet id (the
+     *  begin of its .queue span). */
+    std::unordered_map<std::uint64_t, Tick> admitTick_;
 };
 
 } // namespace olight

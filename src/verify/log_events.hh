@@ -37,8 +37,9 @@ class RecordingObserver : public PipeObserver
   public:
     /** @param next downstream observer (may be nullptr). */
     RecordingObserver(CommitLogWriter &writer, PipeObserver *next)
-        : writer_(writer), next_(next)
+        : writer_(writer)
     {
+        setNext(next);
     }
 
     void onWarpIssue(const Packet &pkt) override;
@@ -64,7 +65,6 @@ class RecordingObserver : public PipeObserver
 
   private:
     CommitLogWriter &writer_;
-    PipeObserver *next_;
 };
 
 /** Serialize a Packet into the payload fields of @p rec. */

@@ -11,8 +11,14 @@
  * pointer test, so the timing model is unaffected unless a run
  * explicitly enables verification.
  *
- * The OrderingOracle (verify/oracle.hh) is the production observer;
- * tests may install their own to probe a single stage.
+ * This is the one instrumentation channel of the pipe. A System
+ * chains its observers on the host thread — the packet trace
+ * (TraceObserver, sim/trace.hh), then the commit-log recorder
+ * (verify/log_events.hh), then the OrderingOracle (verify/oracle.hh),
+ * whichever are enabled — and under the partitioned driver
+ * channel-side hooks reach that chain through mailbox relays
+ * (sim/event_domain.hh). Tests may install their own observer to
+ * probe a single stage.
  */
 
 #ifndef OLIGHT_VERIFY_OBSERVER_HH
@@ -27,16 +33,29 @@
 namespace olight
 {
 
-/** Observation points along the memory pipe (all no-ops here). */
+/**
+ * Observation points along the memory pipe. Each hook here forwards
+ * to the next observer of a chain (setNext), or does nothing at the
+ * end of one; an observer overrides the hooks it consumes and calls
+ * the base version to pass them on.
+ */
 class PipeObserver
 {
   public:
     virtual ~PipeObserver() = default;
 
+    /** Forward every hook to @p next after this observer (nullable). */
+    void setNext(PipeObserver *next) { next_ = next; }
+
     // --- SM-side program order ------------------------------------
     /** A warp issued @p pkt; calls arrive in per-channel program
      *  order (each channel is bound to exactly one warp). */
-    virtual void onWarpIssue(const Packet &pkt) { (void)pkt; }
+    virtual void
+    onWarpIssue(const Packet &pkt)
+    {
+        if (next_)
+            next_->onWarpIssue(pkt);
+    }
 
     /** A warp retired an OrderPoint marker for (@p channel,
      *  @p group); @p group2 is the second group of a dual marker or
@@ -46,22 +65,25 @@ class PipeObserver
     virtual void
     onOrderPoint(std::uint16_t channel, std::uint8_t group, int group2)
     {
-        (void)channel;
-        (void)group;
-        (void)group2;
+        if (next_)
+            next_->onOrderPoint(channel, group, group2);
     }
 
     /** An OrderLight packet entered the pipe (OrderLight mode). */
-    virtual void onOlInject(const Packet &pkt) { (void)pkt; }
+    virtual void
+    onOlInject(const Packet &pkt)
+    {
+        if (next_)
+            next_->onOlInject(pkt);
+    }
 
     /** A request left the operand collector into the LDST queue;
      *  [begin, end] is its collector residency. */
     virtual void
     onCollectorInject(const Packet &pkt, Tick begin, Tick end)
     {
-        (void)pkt;
-        (void)begin;
-        (void)end;
+        if (next_)
+            next_->onCollectorInject(pkt, begin, end);
     }
 
     // --- Generic queue stages -------------------------------------
@@ -72,10 +94,8 @@ class PipeObserver
     onStageEgress(const std::string &stage, const Packet &pkt,
                   Tick begin, Tick end)
     {
-        (void)stage;
-        (void)pkt;
-        (void)begin;
-        (void)end;
+        if (next_)
+            next_->onStageEgress(stage, pkt, begin, end);
     }
 
     // --- Copy-and-merge FSMs --------------------------------------
@@ -85,9 +105,8 @@ class PipeObserver
     onOlReplicate(const std::string &point, const Packet &pkt,
                   std::uint32_t copies)
     {
-        (void)point;
-        (void)pkt;
-        (void)copies;
+        if (next_)
+            next_->onOlReplicate(point, pkt, copies);
     }
 
     /** One OrderLight copy reached sub-path @p path of the
@@ -96,9 +115,8 @@ class PipeObserver
     onOlMergeIn(const std::string &point, std::uint32_t path,
                 const Packet &pkt)
     {
-        (void)point;
-        (void)path;
-        (void)pkt;
+        if (next_)
+            next_->onOlMergeIn(point, path, pkt);
     }
 
     /** The convergence FSM @p point emitted the merged packet after
@@ -107,9 +125,8 @@ class PipeObserver
     onOlMergeOut(const std::string &point, const Packet &pkt,
                  std::uint32_t copies)
     {
-        (void)point;
-        (void)pkt;
-        (void)copies;
+        if (next_)
+            next_->onOlMergeOut(point, pkt, copies);
     }
 
     // --- Memory controller ----------------------------------------
@@ -117,16 +134,16 @@ class PipeObserver
     virtual void
     onMcAdmit(std::uint16_t channel, const Packet &pkt)
     {
-        (void)channel;
-        (void)pkt;
+        if (next_)
+            next_->onMcAdmit(channel, pkt);
     }
 
     /** An OrderLight packet reached the MC scheduler. */
     virtual void
     onMcOrderLight(std::uint16_t channel, const Packet &pkt)
     {
-        (void)channel;
-        (void)pkt;
+        if (next_)
+            next_->onMcOrderLight(channel, pkt);
     }
 
     /** The scheduler committed @p pkt to the command bus; its DRAM
@@ -135,14 +152,21 @@ class PipeObserver
     virtual void
     onMcCommit(std::uint16_t channel, const Packet &pkt, Tick colTick)
     {
-        (void)channel;
-        (void)pkt;
-        (void)colTick;
+        if (next_)
+            next_->onMcCommit(channel, pkt, colTick);
     }
 
     // --- Response path --------------------------------------------
     /** The SM received the MC acknowledgement for @p pkt. */
-    virtual void onAck(const Packet &pkt) { (void)pkt; }
+    virtual void
+    onAck(const Packet &pkt)
+    {
+        if (next_)
+            next_->onAck(pkt);
+    }
+
+  private:
+    PipeObserver *next_ = nullptr;
 };
 
 } // namespace olight

@@ -87,6 +87,15 @@ class Workload
     virtual bool check(const SparseMemory &mem,
                        std::string &why) const = 0;
 
+    /** Whether build(cfg, elements) has a well-formed layout; false
+     *  fills the reason. olight_cli, olight_sweep and the serve
+     *  protocol reject such requests instead of simulating them. */
+    virtual bool
+    fitsElements(const SystemConfig &, std::uint64_t, std::string &) const
+    {
+        return true;
+    }
+
     const SystemConfig &cfg() const { return cfg_; }
     const AddressMap &map() const { return *map_; }
     std::uint64_t elements() const { return elements_; }

@@ -6,10 +6,10 @@
  * run's oracle verdict is reproducible byte-identically from the log
  * alone; malformed logs fail with a structured status, never a
  * crash; the append path is allocation-free in steady state; and a
- * recording under the channel-partitioned driver is deterministic
- * and reaches the sequential driver's verdict (the PartitionedRecord
- * suite rides the Partitioned* TSan aggregate, so recording under
- * --sim-jobs 4 is also race-checked).
+ * recording under the channel-partitioned driver is byte-identical
+ * to the sequential driver's (the PartitionedRecord suite rides the
+ * Partitioned* TSan aggregate, so recording under --sim-jobs 4 is
+ * also race-checked).
  */
 
 #include <cstdint>
@@ -406,12 +406,9 @@ TEST(CommitLog, PerturbedSchedulesAreSeededAndCounted)
 /** Recording under the channel-partitioned driver: all hooks funnel
  *  through the host thread (mailbox relays), so a multi-worker
  *  recording is race-free (this suite rides the Partitioned* TSan
- *  aggregate), byte-deterministic across reruns, and reaches the
- *  same verdict as the sequential driver. The hook *stream* may
- *  interleave ties differently between drivers — relay replays and
- *  inline hooks resolve equal-key neighbours in their own order —
- *  so the contract is verdict identity plus per-driver determinism,
- *  not file-byte identity across drivers. */
+ *  aggregate). Relays replay at the collapsed heap's position, so
+ *  the hook stream, and with it the file, is byte-identical to the
+ *  sequential driver's, and reaches the same verdict. */
 TEST(PartitionedRecord, WorkloadRecordingDeterministicSameVerdict)
 {
     const std::string seq = tmpPath("seq.olog");
@@ -421,6 +418,7 @@ TEST(PartitionedRecord, WorkloadRecordingDeterministicSameVerdict)
     recordRun(par, 4);
     recordRun(par2, 4);
     EXPECT_EQ(slurp(par), slurp(par2));
+    EXPECT_EQ(slurp(seq), slurp(par));
 
     LogData seqLog, parLog;
     std::string error;
@@ -452,6 +450,7 @@ TEST(PartitionedRecord, LitmusRecordingDeterministicSameVerdict)
     runLitmus("host_pim_mix", OrderingMode::OrderLight, 3, 4, par);
     runLitmus("host_pim_mix", OrderingMode::OrderLight, 3, 4, par2);
     EXPECT_EQ(slurp(par), slurp(par2));
+    EXPECT_EQ(slurp(seq), slurp(par));
 
     LogData seqLog, parLog;
     std::string error;

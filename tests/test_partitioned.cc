@@ -1,8 +1,9 @@
 /**
  * @file
- * Channel-partitioned execution tests: the ISSUE-level determinism
- * guarantees (golden workload stats, sweep CSV, litmus verdicts and
- * oracle outcomes byte-identical for every simJobs value) and the
+ * Channel-partitioned execution tests: the determinism guarantees
+ * (golden workload stats, sweep CSV, litmus verdicts, oracle
+ * outcomes and packet traces byte-identical for every simJobs
+ * value), the canonical event key and relay rule behind them, and the
  * steady-state memory discipline of the domain infrastructure
  * (arena-backed mailboxes and sized event heaps allocate nothing
  * once warm).
@@ -10,16 +11,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "alloc_counter.hh"
 #include "core/runner.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
+#include "sim/commit_log.hh"
 #include "sim/event_domain.hh"
 #include "sim/event_queue.hh"
+#include "sim/trace.hh"
 #include "verify/litmus.hh"
 #include "workloads/registry.hh"
 
@@ -58,7 +65,8 @@ goldenRun(const std::string &workload, unsigned simJobs)
 
 /** The acceptance-level guarantee: a verified, oracle-attached
  *  golden workload produces byte-identical deterministic outputs at
- *  simJobs 1 (merge driver), 2 and 4 (windowed partitioned driver).
+ *  simJobs 1 (sequential driver), 2 and 4 (windowed partitioned
+ *  driver).
  *  KMeans is the historical canary — its host/channel credit
  *  interleaving is what shook out the stamp/priority/credit rules
  *  documented in sim/event_domain.hh. */
@@ -73,51 +81,6 @@ TEST(Partitioned, GoldenWorkloadByteIdenticalAcrossSimJobs)
         EXPECT_EQ(at1, at4);
         EXPECT_NE(at1.find("\"finish_tick\""), std::string::npos)
             << "metrics JSON should carry the tick columns: " << at1;
-    }
-}
-
-/** Run @p workload sequentially (simJobs 1) with the given collapse
- *  policy and render every deterministic output as one string. */
-std::string
-sequentialOutputs(const char *workload, bool collapse)
-{
-    SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
-    cfg.verifyOracle = true;
-    auto wl = makeWorkload(workload);
-    wl->build(cfg, 1ull << 12);
-    ExecPolicy policy;
-    policy.simJobs = 1;
-    policy.collapseSequential = collapse;
-    System sys(cfg, policy);
-    wl->initMemory(sys.mem());
-    sys.loadPimKernel(wl->streams());
-    RunMetrics metrics = sys.run();
-    EXPECT_FALSE(sys.partitioned());
-
-    std::ostringstream os;
-    metrics.writeJson(os);
-    os << "\nevents=" << sys.eventsExecuted() << "\noracle="
-       << sys.oracle()->violationCount() << "/"
-       << sys.oracle()->checksPerformed() << "\n";
-    sys.oracle()->report(os);
-    return os.str();
-}
-
-/** The collapsed single-heap fast path (PR 7's jobs=1 recovery) and
- *  the 17-queue merge driver it bypasses are the same simulation:
- *  metrics, event counts and oracle verdicts byte-identical. This is
- *  the pin that keeps the fast path honest — any divergence in the
- *  canonical pop order shows up here, not in a downstream golden. */
-TEST(Partitioned, CollapsedAndMergeDriversByteIdentical)
-{
-    for (const char *wl : {"KMeans", "Triad"}) {
-        SCOPED_TRACE(wl);
-        const std::string collapsed = sequentialOutputs(wl, true);
-        const std::string merged = sequentialOutputs(wl, false);
-        EXPECT_EQ(collapsed, merged);
-        EXPECT_NE(collapsed.find("oracle=0/"), std::string::npos)
-            << "the oracle should attach and stay clean: "
-            << collapsed;
     }
 }
 
@@ -261,7 +224,7 @@ TEST(Partitioned, CrossDomainWindowCycleAllocatesNothing)
         // the recorded (stamp, source), then wholesale-free.
         for (std::size_t i = 0; i < box.size(); ++i) {
             const CrossMsg &m = box[i];
-            EventQueue::ExternalScope scope(hostQ, m.stamp, 1);
+            EventQueue::ExternalScope scope(hostQ, m.stamp, 1, 0);
             hostQ.schedule(m.applyTick, [&] { ++applied; }, m.prio);
         }
         hostQ.runUntil(base + Tick(depth));
@@ -281,79 +244,167 @@ TEST(Partitioned, CrossDomainWindowCycleAllocatesNothing)
     EXPECT_EQ(applied, 36u * kDepth);
 }
 
-/** The merge key the sequential driver uses across queues matches
- *  the intra-queue entry order: ties on (tick, priority) fall to the
- *  stamp, then the source id, and a full tie reports "not before" so
- *  the caller's scan order decides. */
-TEST(Partitioned, FrontBeforeFollowsCanonicalKey)
+/** One heap pops the canonical key in field order: tick, priority,
+ *  stamp, source id, domain rank. */
+TEST(Partitioned, CanonicalKeyOrdersOneHeap)
 {
-    auto noop = [] {};
-
-    { // earlier tick wins regardless of priority
-        EventQueue a(8), b(8);
-        a.schedule(5, noop, EventPriority::Stats);
-        b.schedule(6, noop, EventPriority::DramTiming);
-        EXPECT_TRUE(a.frontBefore(b));
-        EXPECT_FALSE(b.frontBefore(a));
+    EventQueue q(16);
+    std::vector<int> order;
+    auto at = [&](int id, Tick stamp, std::uint16_t src,
+                  std::uint16_t rank, Tick when = 5,
+                  EventPriority prio = EventPriority::DramTiming) {
+        EventQueue::ExternalScope scope(q, stamp, src, rank);
+        q.schedule(when, [&order, id] { order.push_back(id); }, prio);
+    };
+    at(0, 0, 0, 0, 6);
+    at(1, 0, 0, 0, 5, EventPriority::Stats);
+    at(2, 0, 0, 0, 5, EventPriority::Wakeup);
+    at(6, 1, 3, 0);
+    at(5, 1, 0, 2);
+    at(4, 1, 0, 0);
+    at(3, 0, 0, 0);
+    while (q.step()) {
     }
-    { // same tick: priority decides
-        EventQueue a(8), b(8);
-        a.schedule(5, noop, EventPriority::Wakeup);
-        b.schedule(5, noop, EventPriority::DramTiming);
-        EXPECT_TRUE(b.frontBefore(a));
-        EXPECT_FALSE(a.frontBefore(b));
-    }
-    { // same (tick, prio): the earlier scheduling stamp decides
-        EventQueue a(8), b(8);
-        EventQueue clock(8);
-        clock.schedule(1, noop);
-        clock.step(); // clock.now() == 1
-        a.setExternalSource(&clock, 3);
-        a.schedule(5, noop); // stamp 1
-        a.clearExternalSource();
-        b.schedule(5, noop); // stamp 0 (own now)
-        EXPECT_TRUE(b.frontBefore(a));
-        EXPECT_FALSE(a.frontBefore(b));
-    }
-    { // full (tick, prio, stamp, src) tie: neither sorts first
-        EventQueue a(8), b(8);
-        a.schedule(5, noop);
-        b.schedule(5, noop);
-        EXPECT_FALSE(a.frontBefore(b));
-        EXPECT_FALSE(b.frontBefore(a));
-    }
+    EXPECT_EQ(order, (std::vector<int>{3, 4, 5, 6, 2, 1, 0}));
 }
 
-/** advanceTo raises the clock without running events, and the
- *  merge-driver external-now routing stamps foreign schedules with
- *  the merged clock and source. */
-TEST(Partitioned, AdvanceToAndExternalNowStamping)
+/** Two same-tick deliveries into one queue: one stamped with another
+ *  queue's clock (setExternalSource, stamp 50), one scheduled later
+ *  from an earlier-stamped context (ExternalScope, stamp 45). The
+ *  earlier stamp runs first — how cross-domain arrivals keep the
+ *  collapsed heap's order under the windowed driver. */
+TEST(Partitioned, ExternalStampOrdersSameTickArrivals)
 {
-    EventQueue q(8);
-    q.advanceTo(42);
-    EXPECT_EQ(q.now(), 42u);
-    q.advanceTo(7); // never moves backwards
-    EXPECT_EQ(q.now(), 42u);
-
-    // Two same-tick deliveries into q: one stamped through the
-    // merged clock (stamp 50), one scheduled later but from an
-    // earlier-stamped context (stamp 45 via ExternalScope). The
-    // earlier stamp must run first — exactly how the merge driver
-    // keeps cross-domain arrivals in global-queue order.
-    Tick merged = 50;
+    EventQueue clock(8), q(8);
+    clock.schedule(50, [] {});
+    clock.step();
     std::vector<int> order;
-    q.setExternalNow(&merged, 9);
+    q.setExternalSource(&clock, 9);
     q.schedule(60, [&] { order.push_back(1); });
-    q.clearExternalNow();
+    q.clearExternalSource();
     {
-        EventQueue::ExternalScope scope(q, 45, 2);
+        EventQueue::ExternalScope scope(q, 45, 2, 0);
         q.schedule(60, [&] { order.push_back(2); });
     }
     while (q.step()) {
     }
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], 2);
-    EXPECT_EQ(order[1], 1);
+    EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+/** A channel message keyed below the previous one at the same tick
+ *  (a lower-priority follow-up of the executing event) is raised to
+ *  that key; a higher key or a later tick is kept. */
+TEST(Partitioned, MailboxReplayKeysNeverDecrease)
+{
+    DomainMailbox box;
+    auto push = [&](Tick when, EventPriority prio, Tick stamp,
+                    std::uint16_t src) {
+        CrossMsg m;
+        m.applyTick = when;
+        m.prio = prio;
+        m.stamp = stamp;
+        m.src = src;
+        const CrossMsg &r = box.push(m);
+        return std::tuple(r.prio, r.stamp, r.src);
+    };
+    push(100, EventPriority::Wakeup, 90, 3);
+    EXPECT_EQ(push(100, EventPriority::Default, 100, 0),
+              std::tuple(EventPriority::Wakeup, Tick(90), 3));
+    EXPECT_EQ(push(100, EventPriority::Stats, 100, 0),
+              std::tuple(EventPriority::Stats, Tick(100), 0));
+    EXPECT_EQ(push(101, EventPriority::DramTiming, 101, 0),
+              std::tuple(EventPriority::DramTiming, Tick(101), 0));
+}
+
+/** Packet trace of one KMeans run (or Triad plus a concurrent host
+ *  stream over its arrays) at @p simJobs; with @p logPath, the
+ *  oracle and the commit-log recorder sit behind the trace. */
+std::string
+tracedRun(unsigned simJobs, TraceFormat format, bool hostTraffic,
+          const std::string &logPath = "")
+{
+    SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
+    cfg.verifyOracle = !logPath.empty();
+    auto wl = makeWorkload(hostTraffic ? "Triad" : "KMeans");
+    wl->build(cfg, 1ull << 12);
+    ExecPolicy policy;
+    policy.simJobs = simJobs;
+    std::ostringstream trace;
+    std::unique_ptr<CommitLogWriter> log;
+    if (!logPath.empty())
+        log = std::make_unique<CommitLogWriter>(logPath, cfg, 0);
+    {
+        System sys(cfg, policy);
+        if (log)
+            sys.enableRecording(*log);
+        sys.enableTrace(trace, format);
+        wl->initMemory(sys.mem());
+        sys.loadPimKernel(wl->streams());
+        if (hostTraffic) {
+            auto arrays = wl->hostTraffic();
+            for (auto &spec : arrays)
+                spec.bytes = 128 * 1024; // completions pump the stream
+            sys.setHostTraffic(std::move(arrays));
+        }
+        sys.run();
+        const OrderingOracle *o = sys.oracle();
+        if (log)
+            EXPECT_TRUE(log->finish(o->violationCount(),
+                                    o->checksPerformed(), 0, o->clean()));
+    } // System destruction closes the trace (JSON footer)
+    return trace.str();
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Traces run to megabytes: compare with EXPECT_TRUE(a == b), not
+// EXPECT_EQ, whose failure message would diff them line by line.
+
+/** The trace is a pipe observer: channel-side rows reach it through
+ *  the mailbox relays at the collapsed heap's position, so both
+ *  formats are byte-identical for every worker count. */
+TEST(PartitionedTrace, CsvAndChromeJsonByteIdenticalAcrossSimJobs)
+{
+    for (TraceFormat format : {TraceFormat::Csv, TraceFormat::ChromeJson}) {
+        const std::string seq = tracedRun(1, format, false);
+        EXPECT_NE(seq.find("mc3.queue"), std::string::npos);
+        EXPECT_NE(seq.find("l2s3.toDram"), std::string::npos);
+        EXPECT_TRUE(seq == tracedRun(2, format, false));
+        EXPECT_TRUE(seq == tracedRun(4, format, false));
+    }
+}
+
+/** Trace, recorder and oracle chained behind one relay per channel:
+ *  trace and commit log are both byte-identical across drivers. */
+TEST(PartitionedTrace, ByteIdenticalWithOracleAndRecording)
+{
+    const std::string seqLog = ::testing::TempDir() + "ptrace_1.olog";
+    const std::string parLog = ::testing::TempDir() + "ptrace_4.olog";
+    for (TraceFormat format : {TraceFormat::Csv, TraceFormat::ChromeJson}) {
+        const std::string seq = tracedRun(1, format, false, seqLog);
+        EXPECT_TRUE(seq == tracedRun(4, format, false, parLog));
+        EXPECT_TRUE(seq == tracedRun(1, format, false));
+        EXPECT_FALSE(slurp(seqLog).empty());
+        EXPECT_TRUE(slurp(seqLog) == slurp(parLog));
+    }
+    std::remove(seqLog.c_str());
+    std::remove(parLog.c_str());
+}
+
+/** Host-stream packets cross the traced L2 and MC stages alongside
+ *  the PIM kernel. The host stream delivers into a channel inline from
+ *  a completion or credit wake, so this also pins replays running as
+ *  their channel's event (System::applyCrossMsg). */
+TEST(PartitionedTrace, HostTrafficTraceByteIdenticalAcrossSimJobs)
+{
+    const std::string seq = tracedRun(1, TraceFormat::Csv, true);
+    EXPECT_NE(seq.find(",mc3,schedule,\"HostLoad["), std::string::npos);
+    EXPECT_TRUE(seq == tracedRun(4, TraceFormat::Csv, true));
 }
 
 } // namespace

@@ -477,6 +477,27 @@ TEST_F(ServeServerTest, MalformedRequestsKeepServing)
     EXPECT_EQ(server_->snapshot().parseErrors, 3u);
 }
 
+/** Gen_Fil with less than one candidate window per channel has no
+ *  layout (candidateBlock would divide by zero and kill the daemon):
+ *  validation bounces it as a bad request and the daemon serves on. */
+TEST_F(ServeServerTest, GenFilTooSmallIsRejectedAndDaemonSurvives)
+{
+    Client c = Client::overUnix(path_);
+    for (const char *line :
+         {R"({"cmd":"run","workload":"Gen_Fil","elements":1})",
+          R"({"cmd":"run","workload":"Gen_Fil","elements":4096})",
+          R"({"cmd":"sweep","workloads":["Gen_Fil"],"elements":4096})"}) {
+        const std::string reply = c.roundTrip(line);
+        EXPECT_NE(reply.find("\"bad_request\",\"message\":\"Gen_Fil "
+                             "needs more than 6144 elements"),
+                  std::string::npos)
+            << line << " -> " << reply;
+    }
+    EXPECT_NE(c.roundTrip(R"({"cmd":"ping"})").find("\"ok\":true"),
+              std::string::npos);
+    EXPECT_EQ(server_->snapshot().runsExecuted, 0u);
+}
+
 TEST_F(ServeServerTest, SweepRequestReturnsRows)
 {
     Client c = Client::overUnix(path_);

@@ -53,8 +53,9 @@ usage()
         "                    baseline runs (0 = auto, default 1)\n"
         "  --sim-jobs N      intra-run event workers: channel-\n"
         "                    partitioned simulation (0 = auto,\n"
-        "                    default 1; results are bit-identical\n"
-        "                    for every value)\n"
+        "                    default 1; results, traces and commit\n"
+        "                    logs are bit-identical for every value;\n"
+        "                    --sample and --flush force 1)\n"
         "  --profile-domains FILE  write per-domain self-profiling\n"
         "                    JSON (needs --sim-jobs > 1)\n"
         "  --record FILE     record the observer hook stream into a\n"
@@ -176,13 +177,11 @@ main(int argc, char **argv)
     cli::enforceLimits("olight_cli", elements,
                        std::max<std::uint64_t>(jobs, sim_jobs), 1);
 
-    if (sim_jobs > 1 &&
-        (!trace_path.empty() || !trace_json_path.empty() ||
-         !sample_path.empty() || flush)) {
-        // These features poll or serialize the whole pipe per event;
-        // they need the classic single-queue driver.
-        std::cerr << "olight_cli: --trace/--sample/--flush require "
-                     "the sequential driver; forcing --sim-jobs 1\n";
+    if (sim_jobs > 1 && (!sample_path.empty() || flush)) {
+        // These features poll the whole pipe between events; they
+        // need the sequential driver.
+        std::cerr << "olight_cli: --sample/--flush require the "
+                     "sequential driver; forcing --sim-jobs 1\n";
         sim_jobs = 1;
     }
     if (!profile_path.empty() && sim_jobs <= 1) {
@@ -197,9 +196,13 @@ main(int argc, char **argv)
     // End-to-end check + live invariants; a recorded log carries the
     // oracle's verdict in its footer, so --record forces it on.
     cfg.verifyOracle = verify || !record_path.empty();
-    cfg.print(std::cout);
-
     auto w = makeWorkload(workload);
+    std::string size_why;
+    if (!w->fitsElements(cfg, elements, size_why)) {
+        std::cerr << "olight_cli: " << size_why << "\n";
+        return 2;
+    }
+    cfg.print(std::cout);
     w->build(cfg, elements);
 
     if (!trace_path.empty() && !trace_json_path.empty()) {
@@ -208,9 +211,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Output streams are declared before the System so the
-    // TraceWriter can still flush its JSON footer when the System
-    // (which owns it) is destroyed.
+    // Output streams are declared before the System so the trace
+    // can still flush its JSON footer when the System (which owns
+    // it) is destroyed.
     auto open_out = [](std::ofstream &file, const std::string &path) {
         file.open(path);
         if (!file) {

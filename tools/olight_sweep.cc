@@ -150,6 +150,11 @@ main(int argc, char **argv)
                        std::max<std::uint64_t>(spec.jobs,
                                                spec.simJobs),
                        spec.points());
+    std::string size_why;
+    if (!checkSweepElements(spec, size_why)) {
+        std::cerr << "olight_sweep: " << size_why << "\n";
+        return 2;
+    }
     if (spec.simJobs == 0)
         spec.simJobs = ThreadPool::defaultThreads();
 
