@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/runner.hh"
 #include "workloads/registry.hh"
 
@@ -19,16 +21,36 @@ namespace olight
 namespace
 {
 
+/**
+ * gtest lists a parameter it cannot print as its raw bytes, and that
+ * listing is part of each test's ID. A std::string member would put a
+ * heap address into the ID, so the ID would change with the test
+ * binary's path and with unrelated allocations; a NUL-padded array
+ * with no padding bytes keeps every byte, and so the ID, fixed.
+ */
 struct Param
 {
-    std::string workload;
+    char workload[39];
     OrderingMode mode;
 };
+static_assert(sizeof(Param) == 40, "Param must have no padding bytes");
+
+Param
+makeParam(const std::string &workload, OrderingMode mode)
+{
+    Param p{};
+    if (workload.size() >= sizeof(p.workload))
+        throw std::length_error("workload name too long: " + workload);
+    workload.copy(p.workload, workload.size());
+    p.mode = mode;
+    return p;
+}
 
 std::string
 paramName(const ::testing::TestParamInfo<Param> &info)
 {
-    return info.param.workload + "_" + toString(info.param.mode);
+    return std::string(info.param.workload) + "_" +
+           toString(info.param.mode);
 }
 
 class WorkloadCorrectness : public ::testing::TestWithParam<Param>
@@ -63,8 +85,8 @@ allParams()
 {
     std::vector<Param> params;
     for (const auto &name : workloadNames()) {
-        params.push_back({name, OrderingMode::OrderLight});
-        params.push_back({name, OrderingMode::Fence});
+        params.push_back(makeParam(name, OrderingMode::OrderLight));
+        params.push_back(makeParam(name, OrderingMode::Fence));
     }
     return params;
 }
