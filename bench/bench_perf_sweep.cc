@@ -21,6 +21,11 @@
  * the per-domain parallelism statistics are computed regardless:
  * they do not depend on core count.
  *
+ * Each run also reports ns_per_pim_cmd: host nanoseconds spent in
+ * System::run summed over the grid, divided by the simulated PIM
+ * commands — the per-command cost of the simulator itself, without
+ * kernel builds, golden runs or thread-pool overhead.
+ *
  * Environment:
  *   OLIGHT_BENCH_ELEMENTS   problem size (default 2^18)
  *   OLIGHT_BENCH_JSON       output path (default BENCH_sweep.json)
@@ -79,6 +84,8 @@ struct Sample
     unsigned simJobs;
     double seconds;
     std::uint64_t events;
+    double runSeconds;         ///< sum of System::run host time
+    std::uint64_t pimCommands; ///< simulated PIM commands
     std::string csv;
     std::vector<SweepRow> rows;
 };
@@ -95,13 +102,25 @@ timeSweep(unsigned jobs, unsigned simJobs)
                     std::chrono::steady_clock::now() - start)
                     .count();
     s.events = 0;
-    for (const auto &row : rows)
+    s.runSeconds = 0.0;
+    s.pimCommands = 0;
+    for (const auto &row : rows) {
         s.events += row.eventsExecuted;
+        s.runSeconds += row.hostSeconds;
+        s.pimCommands += row.metrics.pimCommands;
+    }
     std::ostringstream csv;
     writeCsv(csv, rows);
     s.csv = csv.str();
     s.rows = std::move(rows);
     return s;
+}
+
+double
+nsPerPimCmd(const Sample &s)
+{
+    return s.pimCommands ? s.runSeconds * 1e9 / double(s.pimCommands)
+                         : 0.0;
 }
 
 void
@@ -110,7 +129,8 @@ printSample(const Sample &s)
     std::cout << "  jobs=" << s.jobs << " sim_jobs=" << s.simJobs
               << ": " << s.seconds << " s, "
               << double(s.events) / s.seconds / 1e6
-              << " M events/s\n";
+              << " M events/s, " << nsPerPimCmd(s)
+              << " ns/PIM command\n";
 }
 
 /** Simulated-time comparison of the three enforcing backends per
@@ -164,7 +184,8 @@ writeRuns(std::ostream &os, const std::vector<Sample> &samples)
         os << "    {\"jobs\": " << s.jobs << ", \"sim_jobs\": "
            << s.simJobs << ", \"host_seconds\": " << s.seconds
            << ", \"events_per_second\": "
-           << double(s.events) / s.seconds << "}"
+           << double(s.events) / s.seconds
+           << ", \"ns_per_pim_cmd\": " << nsPerPimCmd(s) << "}"
            << (i + 1 < samples.size() ? "," : "") << "\n";
     }
 }

@@ -1,5 +1,7 @@
 #include "dram/storage.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace olight
@@ -7,25 +9,41 @@ namespace olight
 
 const SparseMemory::Block SparseMemory::zeroBlock_{};
 
+const SparseMemory::Page *
+SparseMemory::findPage(std::uint64_t addr) const
+{
+    std::uint64_t num = addr / pageBytes;
+    const Shard &sh = shards_[num & (kShards - 1)];
+    std::lock_guard<std::mutex> lock(sh.mu);
+    auto it = sh.pages.find(num);
+    return it == sh.pages.end() ? nullptr : it->second.get();
+}
+
+SparseMemory::Page &
+SparseMemory::page(std::uint64_t addr)
+{
+    std::uint64_t num = addr / pageBytes;
+    Shard &sh = shards_[num & (kShards - 1)];
+    std::lock_guard<std::mutex> lock(sh.mu);
+    auto &p = sh.pages[num];
+    if (!p)
+        p = std::make_unique<Page>();
+    return *p;
+}
+
 SparseMemory::Block &
 SparseMemory::block(std::uint64_t addr)
 {
     if (addr % blockBytes != 0)
         olight_panic("unaligned block access: 0x", std::hex, addr);
-    std::uint64_t num = addr / blockBytes;
-    Shard &s = shardOf(num);
-    std::lock_guard<std::mutex> lock(s.mu);
-    return s.blocks[num];
+    return page(addr).blocks[(addr % pageBytes) / blockBytes];
 }
 
 const SparseMemory::Block &
 SparseMemory::blockOrZero(std::uint64_t addr) const
 {
-    std::uint64_t num = addr / blockBytes;
-    const Shard &s = shardOf(num);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.blocks.find(num);
-    return it == s.blocks.end() ? zeroBlock_ : it->second;
+    const Page *p = findPage(addr);
+    return p ? p->blocks[(addr % pageBytes) / blockBytes] : zeroBlock_;
 }
 
 void
@@ -33,11 +51,12 @@ SparseMemory::read(std::uint64_t addr, void *out, std::size_t n) const
 {
     auto *dst = static_cast<std::uint8_t *>(out);
     while (n > 0) {
-        std::uint64_t base = addr - addr % blockBytes;
-        std::size_t off = addr % blockBytes;
-        std::size_t take = std::min<std::size_t>(n, blockBytes - off);
-        const Block &b = blockOrZero(base);
-        std::memcpy(dst, b.data() + off, take);
+        std::size_t off = addr % pageBytes;
+        std::size_t take = std::min<std::size_t>(n, pageBytes - off);
+        if (const Page *p = findPage(addr))
+            std::memcpy(dst, p->blocks.data()->data() + off, take);
+        else
+            std::memset(dst, 0, take);
         dst += take;
         addr += take;
         n -= take;
@@ -49,11 +68,9 @@ SparseMemory::write(std::uint64_t addr, const void *in, std::size_t n)
 {
     auto *src = static_cast<const std::uint8_t *>(in);
     while (n > 0) {
-        std::uint64_t base = addr - addr % blockBytes;
-        std::size_t off = addr % blockBytes;
-        std::size_t take = std::min<std::size_t>(n, blockBytes - off);
-        Block &b = block(base);
-        std::memcpy(b.data() + off, src, take);
+        std::size_t off = addr % pageBytes;
+        std::size_t take = std::min<std::size_t>(n, pageBytes - off);
+        std::memcpy(page(addr).blocks.data()->data() + off, src, take);
         src += take;
         addr += take;
         n -= take;
@@ -106,19 +123,19 @@ std::size_t
 SparseMemory::numBlocks() const
 {
     std::size_t n = 0;
-    for (const Shard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        n += s.blocks.size();
+    for (const Shard &sh : shards_) {
+        std::lock_guard<std::mutex> lock(sh.mu);
+        n += sh.pages.size();
     }
-    return n;
+    return n * (pageBytes / blockBytes);
 }
 
 void
 SparseMemory::clear()
 {
-    for (Shard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        s.blocks.clear();
+    for (Shard &sh : shards_) {
+        std::lock_guard<std::mutex> lock(sh.mu);
+        sh.pages.clear();
     }
 }
 
@@ -126,7 +143,8 @@ void
 SparseMemory::copyFrom(const SparseMemory &other)
 {
     for (std::uint32_t i = 0; i < kShards; ++i)
-        shards_[i].blocks = other.shards_[i].blocks;
+        for (const auto &[num, p] : other.shards_[i].pages)
+            shards_[i].pages[num] = std::make_unique<Page>(*p);
 }
 
 } // namespace olight

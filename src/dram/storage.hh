@@ -5,18 +5,25 @@
  * The simulator is not timing-only: PIM units and host accesses
  * operate on real data so that ordering violations are observable as
  * wrong results (the "functionally incorrect" bar of Figure 5).
- * Storage is sparse — 32 B blocks allocated on first touch — so the
- * multi-terabyte aligned layouts the allocator produces cost nothing.
+ *
+ * Storage is paged: 4 KiB pages, allocated zero-filled on first
+ * write and found by page number. Untouched pages read as zeros and
+ * allocate nothing, so the sparse aligned layouts the array allocator
+ * produces cost only the pages they actually use. read/write and the
+ * golden-snapshot copy work a page at a time, so a bulk access pays
+ * one lookup per 4 KiB, and a page costs 4 KiB where a per-block
+ * index cost a hash node per 32 B.
  *
  * Under channel-partitioned execution the per-channel PIM units
- * touch the store concurrently. Channels operate on disjoint
- * channel-interleaved address ranges, so block *contents* never
- * race; only the sparse index does (a first-touch insert rehashes
- * the table another thread is probing). The index is therefore
- * sharded by block number with one mutex per shard — block
- * references stay stable across inserts (node-based map), so a
- * returned Block& can be used lock-free, and the full store remains
- * value-deterministic regardless of insertion interleaving.
+ * touch the store concurrently. With the 256 B channel interleave
+ * every channel writes into every page, but at disjoint bytes, so
+ * page *contents* never race; only the page index does (a first
+ * touch inserts into the table another thread is probing). The index
+ * is therefore sharded by page number with one mutex per shard, held
+ * for the lookup only. Pages are heap nodes that never move or die
+ * before clear(), so a returned Block& can be used lock-free, and
+ * the store stays value-deterministic regardless of which thread
+ * created a page.
  */
 
 #ifndef OLIGHT_DRAM_STORAGE_HH
@@ -25,6 +32,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -37,6 +45,7 @@ class SparseMemory
 {
   public:
     static constexpr std::uint32_t blockBytes = 32;
+    static constexpr std::uint32_t pageBytes = 4096;
 
     using Block = std::array<std::uint8_t, blockBytes>;
 
@@ -77,6 +86,8 @@ class SparseMemory
                                   std::size_t count) const;
     void writeFloats(std::uint64_t addr, const std::vector<float> &v);
 
+    /** Blocks backed by allocated pages (pageBytes / blockBytes per
+     *  touched page). */
     std::size_t numBlocks() const;
     void clear();
 
@@ -85,22 +96,25 @@ class SparseMemory
      *  concurrent channels rarely contend on one index mutex. */
     static constexpr std::uint32_t kShards = 64;
 
+    struct Page
+    {
+        std::array<Block, pageBytes / blockBytes> blocks{};
+    };
+
     struct Shard
     {
-        std::unordered_map<std::uint64_t, Block> blocks;
+        std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages;
         mutable std::mutex mu;
     };
 
-    Shard &shardOf(std::uint64_t blockNum)
-    {
-        return shards_[blockNum & (kShards - 1)];
-    }
-    const Shard &shardOf(std::uint64_t blockNum) const
-    {
-        return shards_[blockNum & (kShards - 1)];
-    }
+    /** The page holding @p addr, or nullptr if never written. */
+    const Page *findPage(std::uint64_t addr) const;
 
-    /** Bulk copy (single-threaded contexts only: golden snapshots). */
+    /** The page holding @p addr, created zero-filled if absent. */
+    Page &page(std::uint64_t addr);
+
+    /** Deep copy, a page at a time (single-threaded contexts only:
+     *  golden snapshots). */
     void copyFrom(const SparseMemory &other);
 
     std::array<Shard, kShards> shards_;

@@ -7,34 +7,39 @@
 namespace olight
 {
 
+EventQueue::~EventQueue()
+{
+    for (const Key &key : heap_)
+        slab_.destroy(key.cb);
+}
+
 void
-EventQueue::push(Entry entry)
+EventQueue::push(const Key &key)
 {
     if (heap_.size() == heap_.capacity())
         ++regrows_;
     // Hole-based sift-up: move parents down into the hole until the
-    // new entry's slot is found; one move per level instead of the
-    // three a swap would cost.
+    // new key's slot is found; one 32-byte copy per level.
     std::size_t hole = heap_.size();
-    heap_.emplace_back(); // default entry; overwritten below
+    heap_.emplace_back();
     while (hole > 0) {
         std::size_t parent = (hole - 1) / kArity;
-        if (!entry.before(heap_[parent]))
+        if (!key.before(heap_[parent]))
             break;
-        heap_[hole] = std::move(heap_[parent]);
+        heap_[hole] = heap_[parent];
         hole = parent;
     }
-    heap_[hole] = std::move(entry);
+    heap_[hole] = key;
 }
 
-EventQueue::Entry
+EventQueue::Key
 EventQueue::popTop()
 {
-    Entry top = std::move(heap_.front());
-    Entry last = std::move(heap_.back());
+    const Key top = heap_.front();
+    const Key last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
-        // Sift the former last element down from the root hole.
+        // Sift the former last key down from the root hole.
         std::size_t hole = 0;
         const std::size_t size = heap_.size();
         while (true) {
@@ -50,20 +55,20 @@ EventQueue::popTop()
             }
             if (!heap_[best].before(last))
                 break;
-            heap_[hole] = std::move(heap_[best]);
+            heap_[hole] = heap_[best];
             hole = best;
         }
-        heap_[hole] = std::move(last);
+        heap_[hole] = last;
     }
     return top;
 }
 
 void
-EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
+EventQueue::enqueue(Tick when, EventPriority prio, Callback *cb)
 {
     if (collapse_) {
-        collapse_->collapsedPush(when, std::move(cb), prio,
-                                 collapseRank_, ownSrc_);
+        collapse_->collapsedPush(when, cb, prio, collapseRank_,
+                                 ownSrc_);
         return;
     }
     // olight_fatal, not a debug-only assert: scheduling in the past
@@ -72,30 +77,11 @@ EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
     if (when < now_)
         olight_fatal("event scheduled in the past: when=", when,
                      " now=", now_);
-    push(Entry{when,
-               packOrder(std::uint8_t(static_cast<int>(prio)),
-                         scheduleStamp()),
-               packOrder2(scheduleSrc(), scheduleRank(), nextSeq_++),
-               std::move(cb)});
-}
-
-void
-EventQueue::scheduleAt(Tick when, RawFn fn, void *ctx,
-                       EventPriority prio)
-{
-    if (collapse_) {
-        collapse_->collapsedPush(when, Callback(fn, ctx), prio,
-                                 collapseRank_, ownSrc_);
-        return;
-    }
-    if (when < now_)
-        olight_fatal("event scheduled in the past: when=", when,
-                     " now=", now_);
-    push(Entry{when,
-               packOrder(std::uint8_t(static_cast<int>(prio)),
-                         scheduleStamp()),
-               packOrder2(scheduleSrc(), scheduleRank(), nextSeq_++),
-               Callback(fn, ctx)});
+    push(Key{when,
+             packOrder(std::uint8_t(static_cast<int>(prio)),
+                       scheduleStamp()),
+             packOrder2(scheduleSrc(), scheduleRank(), nextSeq_++),
+             cb});
 }
 
 void
@@ -109,7 +95,7 @@ EventQueue::scheduleAtBatch(const Tick *whens, std::size_t n,
 }
 
 void
-EventQueue::collapsedPush(Tick when, Callback cb, EventPriority prio,
+EventQueue::collapsedPush(Tick when, Callback *cb, EventPriority prio,
                           std::uint16_t rank, std::uint16_t facadeSrc)
 {
     if (when < now_)
@@ -118,9 +104,9 @@ EventQueue::collapsedPush(Tick when, Callback cb, EventPriority prio,
     const std::uint16_t src =
         (execDom_ == rank || execDom_ == kConstructing) ? facadeSrc
                                                         : 0;
-    push(Entry{when,
-               packOrder(std::uint8_t(static_cast<int>(prio)), now_),
-               packOrder2(src, rank, nextSeq_++), std::move(cb)});
+    push(Key{when,
+             packOrder(std::uint8_t(static_cast<int>(prio)), now_),
+             packOrder2(src, rank, nextSeq_++), cb});
 }
 
 bool
@@ -128,14 +114,23 @@ EventQueue::step()
 {
     if (heap_.empty())
         return false;
-    Entry entry = popTop();
-    now_ = entry.when;
-    execStamp_ = entry.stamp();
-    execPrio_ = entry.prio();
-    execSrc_ = entry.src();
-    execDom_ = entry.dom();
+    const Key key = popTop();
+    now_ = key.when;
+    execStamp_ = key.stamp();
+    execPrio_ = key.prio();
+    execSrc_ = key.src();
+    execDom_ = key.dom();
     ++numExecuted_;
-    entry.cb();
+    // The callback runs in its slab slot and is destroyed there
+    // afterwards, also when it throws. Events it schedules may grow
+    // the slab; chunks never move, so its captures stay put.
+    struct Release
+    {
+        CallbackSlab &slab;
+        Callback *cb;
+        ~Release() { slab.destroy(cb); }
+    } release{slab_, key.cb};
+    (*key.cb)();
     // Anything that runs between events (drain polls, CGA unblock,
     // sampler) is host-driver code; facade pushes it performs must
     // record the host context, not the last event's domain.

@@ -19,26 +19,28 @@
  * bit-identical for every driver and worker count.
  * docs/INTERNALS.md section 12 has the full determinism argument.
  *
- * The hot path is allocation-free: callbacks are small-buffer
- * optimized (sim/callback.hh) and the pending set is a hand-rolled
- * 4-ary heap over a reserved vector — shallower than a binary heap
- * and sifted with moves into a hole instead of element swaps, which
- * matters when every element carries an inline capture buffer. The
- * initial reservation is a constructor parameter (the System sizes
- * it from the configuration: channels x banks, the natural bound on
- * concurrently pending DRAM events); mid-run regrows move every
- * inline capture buffer, so they are counted and exposed. The
- * six-field canonical key is packed into two words next to the tick
- * (Entry::order / order2), so a heap compare is at most three
- * branches over 24 contiguous bytes and an entry stays 40 bytes —
- * what keeps the collapsed single-heap driver at the speed of the
- * original single-queue simulator despite the richer key.
+ * The pending set is split in two. A hand-rolled 4-ary heap over a
+ * reserved vector orders 32-byte keys; each key holds the tick, the
+ * six-field canonical key packed into two words (Key::order /
+ * order2, so a compare is at most three branches) and a pointer to
+ * its callback. The callbacks themselves (small-buffer optimized,
+ * sim/callback.hh) are built once in a chunked slab, invoked in
+ * place and destroyed after they run, so a sift moves 32 bytes per
+ * level and never a capture buffer. The heap's initial reservation
+ * is a constructor parameter (the System sizes it from the
+ * configuration: channels x banks, the natural bound on concurrently
+ * pending DRAM events); outgrowing it — a key-vector regrow or a
+ * slab chunk beyond the reservation — is counted and exposed. Once
+ * the heap and slab have reached their high-water marks, scheduling
+ * and running events allocates nothing (captures larger than
+ * EventCallback::kInlineCapacity excepted).
  */
 
 #ifndef OLIGHT_SIM_EVENT_QUEUE_HH
 #define OLIGHT_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -76,11 +78,15 @@ class EventQueue
 
     /** @param reserveHint initial heap reservation (event slots). */
     explicit EventQueue(std::size_t reserveHint = 1024)
+        : slab_(reserveHint + 1) // + the callback running now
     {
         heap_.reserve(reserveHint ? reserveHint : 1);
     }
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
+
+    /** Destroys every still-pending callback exactly once. */
+    ~EventQueue();
 
     /** Current simulated time. A collapse facade reads its master's
      *  clock (step() raises it before the callback runs), so
@@ -124,9 +130,14 @@ class EventQueue
     /** Number of events executed so far (for stats / debugging). */
     std::uint64_t numExecuted() const { return numExecuted_; }
 
-    /** Times the heap outgrew its reservation (each regrow copies
-     *  every pending event, inline capture buffers included). */
-    std::uint64_t heapRegrows() const { return regrows_; }
+    /** Times the pending set outgrew its reservation: a key-vector
+     *  regrow (copies every pending 32-byte key) or a callback-slab
+     *  chunk allocated beyond the reserved event count. */
+    std::uint64_t
+    heapRegrows() const
+    {
+        return regrows_ + slab_.grows();
+    }
 
     /** True when no events remain. */
     bool empty() const { return heap_.empty(); }
@@ -176,21 +187,32 @@ class EventQueue
     void beginCollapsedRun() { execDom_ = ownRank_; }
 
     /**
-     * Schedule @p cb to run at absolute tick @p when.
+     * Schedule @p f (any `void()` callable, or a Callback) to run at
+     * absolute tick @p when. The callback is constructed directly in
+     * the slab of the queue that will hold the event.
      *
      * @pre when >= now(); scheduling in the past is a simulator bug.
      */
-    void schedule(Tick when, Callback cb,
-                  EventPriority prio = EventPriority::Default);
+    template <typename F>
+    void
+    schedule(Tick when, F &&f,
+             EventPriority prio = EventPriority::Default)
+    {
+        enqueue(when, prio, holder().slab_.emplace(std::forward<F>(f)));
+    }
 
     /**
      * Raw fast path: schedule `fn(ctx)` at @p when with zero capture
-     * machinery — two words stored inline in the event. This is the
-     * right call for recurring per-cycle wakeups (the memory
+     * machinery — two words stored inline in the callback. This is
+     * the right call for recurring per-cycle wakeups (the memory
      * controller's scheduler is the heaviest user).
      */
-    void scheduleAt(Tick when, RawFn fn, void *ctx,
-                    EventPriority prio = EventPriority::Wakeup);
+    void
+    scheduleAt(Tick when, RawFn fn, void *ctx,
+               EventPriority prio = EventPriority::Wakeup)
+    {
+        enqueue(when, prio, holder().slab_.emplace(fn, ctx));
+    }
 
     /**
      * Batch form of scheduleAt(): one `fn(ctx)` firing per tick in
@@ -203,11 +225,12 @@ class EventQueue
     /** Schedule @p cb @p delta ticks from now() — the master's clock
      *  on a collapse facade, so cross-domain deliveries compute their
      *  latency from the true current tick. */
+    template <typename F>
     void
-    scheduleIn(Tick delta, Callback cb,
+    scheduleIn(Tick delta, F &&f,
                EventPriority prio = EventPriority::Default)
     {
-        schedule(now() + delta, std::move(cb), prio);
+        schedule(now() + delta, std::forward<F>(f), prio);
     }
 
     /**
@@ -276,13 +299,13 @@ class EventQueue
     bool step();
 
   private:
-    /** Stamp field width inside Entry::order: 56 bits of tick.
+    /** Stamp field width inside Key::order: 56 bits of tick.
      *  Overflow is a fatal, not a silent misorder — and unreachable
      *  in practice (at one event per tick and millions of events per
      *  second it is centuries of wall time away). */
     static constexpr int kStampBits = 56;
 
-    /** Sequence field width inside Entry::order2. The truncation is
+    /** Sequence field width inside Key::order2. The truncation is
      *  sound without a guard: two entries compare down to their
      *  sequences only when (when, prio, stamp, src, dom) all tie,
      *  and an equal stamp means both were pushed at the same tick —
@@ -291,9 +314,10 @@ class EventQueue
     static constexpr int kSeqBits = 48;
 
     /**
-     * One pending event. The canonical six-field key is packed into
-     * two words so a heap compare is at most three branches and the
-     * whole entry (key + small-buffer callback) stays 40 bytes:
+     * Heap key of one pending event. The canonical six-field key is
+     * packed into two words so a compare is at most three branches,
+     * and the callback stays in its slab slot, so the whole key is
+     * 32 bytes:
      *
      *   order  = priority(8) | stamp(56)
      *   order2 = src(8) | dom(8) | seq(48)
@@ -304,12 +328,12 @@ class EventQueue
      * at their setters (checkRank8) — channels beyond 254 are out of
      * scope for the modeled systems.
      */
-    struct Entry
+    struct Key
     {
         Tick when;
         std::uint64_t order;  ///< (prio << kStampBits) | stamp
         std::uint64_t order2; ///< (src << 56) | (dom << 48) | seq
-        Callback cb;
+        Callback *cb;         ///< slab slot of the callback
 
         std::uint8_t prio() const { return std::uint8_t(order >> kStampBits); }
         Tick stamp() const { return order & ((1ull << kStampBits) - 1); }
@@ -320,7 +344,7 @@ class EventQueue
         }
 
         bool
-        before(const Entry &other) const
+        before(const Key &other) const
         {
             if (when != other.when)
                 return when < other.when;
@@ -350,7 +374,7 @@ class EventQueue
                (seq & ((1ull << kSeqBits) - 1));
     }
 
-    /** Construction-time bound for ids packed into Entry::order2. */
+    /** Construction-time bound for ids packed into Key::order2. */
     static std::uint16_t
     checkRank8(std::uint16_t id)
     {
@@ -360,8 +384,17 @@ class EventQueue
         return id;
     }
 
-    void push(Entry entry);
-    Entry popTop();
+    /** The queue whose heap and slab hold this queue's events: the
+     *  master for a collapse facade, else this queue. */
+    EventQueue &holder() { return collapse_ ? *collapse_ : *this; }
+
+    /** Key @p cb (already built in holder()'s slab) and push it:
+     *  straight into this heap, or through collapsedPush on a
+     *  facade. */
+    void enqueue(Tick when, EventPriority prio, Callback *cb);
+
+    void push(const Key &key);
+    Key popTop();
 
     /** Record a facade's schedule in this (master) heap under the key
      *  the windowed driver records for the same push. The source is
@@ -371,7 +404,7 @@ class EventQueue
      *  host-phase delivery into a channel queue carries
      *  (setExternalSource). The stamp is this queue's current tick,
      *  the executing event's tick in either case. */
-    void collapsedPush(Tick when, Callback cb, EventPriority prio,
+    void collapsedPush(Tick when, Callback *cb, EventPriority prio,
                        std::uint16_t rank, std::uint16_t facadeSrc);
 
     /** The (stamp, src) to record on an event scheduled now. */
@@ -402,7 +435,8 @@ class EventQueue
     /** 4-ary min-heap on (when, order, order2) over heap_. */
     static constexpr std::size_t kArity = 4;
 
-    std::vector<Entry> heap_;
+    std::vector<Key> heap_;
+    CallbackSlab slab_;
     Tick now_ = 0;
     Tick execStamp_ = 0;
     std::uint8_t execPrio_ =

@@ -74,6 +74,13 @@ class BitXnor : public Workload
     }
 
   protected:
+    /** Two slots per streamed block (slotS, slotT). */
+    std::uint32_t
+    tsSlotsNeeded() const override
+    {
+        return 2;
+    }
+
     void
     buildImpl() override
     {
@@ -245,6 +252,13 @@ class BitRowFold : public Workload
     }
 
   protected:
+    /** s0 and s1 fold the AND and XOR rows. */
+    std::uint32_t
+    tsSlotsNeeded() const override
+    {
+        return 2;
+    }
+
     void
     buildImpl() override
     {

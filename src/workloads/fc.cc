@@ -101,6 +101,13 @@ class Fc : public Workload
     }
 
   protected:
+    /** slotX holds the resident x pattern, slotA the row sum. */
+    std::uint32_t
+    tsSlotsNeeded() const override
+    {
+        return 2;
+    }
+
     void
     buildImpl() override
     {

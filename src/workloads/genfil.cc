@@ -52,25 +52,6 @@ class GenFil : public Workload
     }
 
     bool
-    fitsElements(const SystemConfig &cfg, std::uint64_t elements,
-                 std::string &why) const override
-    {
-        // candidateBlock() draws from whole candidate windows: every
-        // channel needs more than candidateBlocks - 1 genome blocks.
-        const std::uint64_t sweep = AddressMap(cfg).channelSweepBytes();
-        const std::uint64_t most =
-            (candidateBlocks - 1) * sweep / sizeof(float);
-        if (elements > most)
-            return true;
-        why = "Gen_Fil needs more than " + std::to_string(most) +
-              " elements at this configuration (one " +
-              std::to_string(candidateBlocks) +
-              "-block candidate window per channel), got " +
-              std::to_string(elements);
-        return false;
-    }
-
-    bool
     check(const SparseMemory &mem, std::string &why) const override
     {
         SparseMemory init;
@@ -122,6 +103,32 @@ class GenFil : public Workload
     }
 
   protected:
+    bool
+    fitsLayout(const SystemConfig &cfg, std::uint64_t elements,
+               std::string &why) const override
+    {
+        // candidateBlock() draws from whole candidate windows: every
+        // channel needs more than candidateBlocks - 1 genome blocks.
+        const std::uint64_t sweep = AddressMap(cfg).channelSweepBytes();
+        const std::uint64_t most =
+            (candidateBlocks - 1) * sweep / sizeof(float);
+        if (elements > most)
+            return true;
+        why = "Gen_Fil needs more than " + std::to_string(most) +
+              " elements at this configuration (one " +
+              std::to_string(candidateBlocks) +
+              "-block candidate window per channel), got " +
+              std::to_string(elements);
+        return false;
+    }
+
+    /** slotQ (query), slotA (popcount), slotR (verdict). */
+    std::uint32_t
+    tsSlotsNeeded() const override
+    {
+        return 3;
+    }
+
     void
     buildImpl() override
     {

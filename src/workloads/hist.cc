@@ -104,6 +104,13 @@ class Hist : public Workload
     }
 
   protected:
+    /** Half the TS holds bins, 8 per slot, one per value in [0, maxValue]. */
+    std::uint32_t
+    tsSlotsNeeded() const override
+    {
+        return 2 * ((maxValue + 8) / 8);
+    }
+
     void
     buildImpl() override
     {

@@ -118,6 +118,13 @@ class Kmeans : public Workload
     }
 
   protected:
+    /** slotP holds the point, slotD the distances. */
+    std::uint32_t
+    tsSlotsNeeded() const override
+    {
+        return 2;
+    }
+
     void
     buildImpl() override
     {

@@ -64,6 +64,22 @@ compareArray(const SparseMemory &got, const SparseMemory &want,
 // Workload base-class helpers (kept here to avoid a tiny extra TU).
 // ---------------------------------------------------------------
 
+bool
+Workload::fitsElements(const SystemConfig &cfg, std::uint64_t elements,
+                       std::string &why) const
+{
+    const std::uint32_t need = tsSlotsNeeded();
+    if (cfg.tsSlots() < need) {
+        why = info().name + " needs a TS of at least " +
+              std::to_string(need * cfg.busWidthBytes) + " B (" +
+              std::to_string(need) + " slots of " +
+              std::to_string(cfg.busWidthBytes) + " B) per lane, got " +
+              std::to_string(cfg.tsBytes) + " B";
+        return false;
+    }
+    return fitsLayout(cfg, elements, why);
+}
+
 void
 Workload::build(const SystemConfig &cfg, std::uint64_t elements)
 {

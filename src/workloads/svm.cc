@@ -100,6 +100,13 @@ class Svm : public Workload
     }
 
   protected:
+    /** A tile of tsSlots() - 1 samples plus the resident weight slot. */
+    std::uint32_t
+    tsSlotsNeeded() const override
+    {
+        return 2;
+    }
+
     void
     buildImpl() override
     {

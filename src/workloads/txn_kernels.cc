@@ -104,6 +104,13 @@ class TxnXfer : public Workload
     }
 
   protected:
+    /** s0 and s1 hold the two accounts of a transfer. */
+    std::uint32_t
+    tsSlotsNeeded() const override
+    {
+        return 2;
+    }
+
     void
     buildImpl() override
     {

@@ -87,14 +87,13 @@ class Workload
     virtual bool check(const SparseMemory &mem,
                        std::string &why) const = 0;
 
-    /** Whether build(cfg, elements) has a well-formed layout; false
-     *  fills the reason. olight_cli, olight_sweep and the serve
-     *  protocol reject such requests instead of simulating them. */
-    virtual bool
-    fitsElements(const SystemConfig &, std::uint64_t, std::string &) const
-    {
-        return true;
-    }
+    /** Whether build(cfg, elements) has a well-formed layout: the
+     *  kernel's TS slots fit cfg's TS (tsSlotsNeeded) and the
+     *  workload's own size rule holds (fitsLayout); false fills the
+     *  reason. olight_cli, olight_sweep and the serve protocol reject
+     *  such requests instead of simulating them. */
+    bool fitsElements(const SystemConfig &cfg, std::uint64_t elements,
+                      std::string &why) const;
 
     const SystemConfig &cfg() const { return cfg_; }
     const AddressMap &map() const { return *map_; }
@@ -106,6 +105,18 @@ class Workload
   protected:
     /** Subclass hook: allocate arrays and emit streams. */
     virtual void buildImpl() = 0;
+
+    /** TS slots per lane the kernel addresses (slot indices, tile
+     *  sizes and, for Hist, the bins it keeps); fitsElements rejects
+     *  a smaller TS. */
+    virtual std::uint32_t tsSlotsNeeded() const { return 1; }
+
+    /** Subclass hook for a size rule beyond the TS check. */
+    virtual bool
+    fitsLayout(const SystemConfig &, std::uint64_t, std::string &) const
+    {
+        return true;
+    }
 
     PimArray &addArray(const std::string &name,
                        std::uint64_t elements, std::uint8_t group);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hh"
 #include "noc/copy_merge.hh"
 #include "noc/pipe_stage.hh"
 
@@ -236,6 +237,35 @@ TEST_F(CopyMergeFixture, StalledMarkerWakesExactlyOnce)
         << "one stall must produce exactly one wakeup";
     EXPECT_FALSE(waiter.linked());
     EXPECT_TRUE(div->tryReserve(m));
+}
+
+/** OrderLight copies reach the convergence point through an event
+ *  whose [this, path, Packet] capture must ride inline in the
+ *  callback: in steady state, replicating and merging markers
+ *  allocates nothing. */
+TEST_F(CopyMergeFixture, OrderLightCopiesAllocateNothingInSteadyState)
+{
+    sink.arrivals.reserve(64);
+    std::uint32_t number = 0;
+    auto round = [&] {
+        for (int k = 0; k < 4; ++k) {
+            send(marker(number++));
+            send(request(number, 32 * number));
+        }
+        eq.run();
+        sink.arrivals.clear();
+    };
+    round(); // warm-up: heap, slab and pipe storage reach their depth
+
+    const std::uint64_t before = test_alloc::newCount();
+    for (int r = 0; r < 64; ++r)
+        round();
+    EXPECT_EQ(test_alloc::newCount() - before, 0u)
+        << "OrderLight copies must not allocate";
+    EXPECT_EQ(stats.findScalar("div.olCopies")->value(),
+              double(numPaths * number));
+    EXPECT_EQ(stats.findScalar("conv.olMerges")->value(),
+              double(number));
 }
 
 } // namespace

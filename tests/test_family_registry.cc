@@ -15,6 +15,7 @@
 #include <set>
 
 #include "cli_common.hh"
+#include "core/runner.hh"
 #include "serve/protocol.hh"
 #include "workloads/registry.hh"
 
@@ -161,6 +162,53 @@ TEST(FamilyRegistry, ServeProtocolEmitsTheCanonicalDiagnostic)
         R"("elements":4096})",
         req, err);
     EXPECT_TRUE(ok) << err;
+}
+
+/** Every workload x small TS either is rejected up front — by
+ *  fitsElements, with the same answer from serve validation — or
+ *  simulates and verifies. Small TS sizes used to panic ("TS slot out
+ *  of range"), throw std::bad_alloc, or overflow the heap in
+ *  Hist::check. */
+TEST(FamilyRegistry, SmallTsIsRejectedOrSimulatesCorrectly)
+{
+    const std::uint64_t elements = 8192;
+    std::set<std::string> rejected;
+    for (const std::string &name : workloadNames()) {
+        for (std::uint32_t ts : {32u, 64u, 96u, 128u}) {
+            SCOPED_TRACE(name + " ts=" + std::to_string(ts));
+            RunOptions opts;
+            opts.workload = name;
+            opts.elements = elements;
+            opts.tsBytes = ts;
+            SystemConfig cfg =
+                configFor(opts.mode, ts, opts.bmf, opts.base);
+            std::string why;
+            const bool fits =
+                makeWorkload(name)->fitsElements(cfg, elements, why);
+
+            serve::Request req;
+            std::string err;
+            const bool accepted = serve::parseRequest(
+                R"({"cmd":"run","workload":")" + name +
+                    R"(","elements":8192,"ts":)" + std::to_string(ts) +
+                    "}",
+                req, err);
+            EXPECT_EQ(accepted, fits) << err;
+            if (!fits) {
+                EXPECT_NE(err.find(why), std::string::npos) << err;
+                rejected.insert(name + "@" + std::to_string(ts));
+                continue;
+            }
+            RunResult r = runWorkload(opts);
+            EXPECT_TRUE(r.verified);
+            EXPECT_TRUE(r.correct) << r.why;
+        }
+    }
+    EXPECT_EQ(rejected,
+              (std::set<std::string>{
+                  "FC@32", "KMeans@32", "SVM@32", "Hist@32", "Hist@64",
+                  "Hist@96", "Gen_Fil@32", "Gen_Fil@64", "Txn_Xfer@32",
+                  "Bit_Xnor@32", "Bit_RowFold@32"}));
 }
 
 } // namespace

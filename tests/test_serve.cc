@@ -498,6 +498,26 @@ TEST_F(ServeServerTest, GenFilTooSmallIsRejectedAndDaemonSurvives)
     EXPECT_EQ(server_->snapshot().runsExecuted, 0u);
 }
 
+TEST_F(ServeServerTest, TsTooSmallIsRejectedAndDaemonSurvives)
+{
+    // FC's kernel addresses two TS slots; a 32 B TS has one. This
+    // request used to panic the worker ("TS slot out of range") and
+    // take the daemon down with it.
+    Client c = Client::overUnix(path_);
+    for (const char *line :
+         {R"({"cmd":"run","workload":"FC","elements":7,"mode":"fence","ts":32,"bmf":1})",
+          R"({"cmd":"sweep","workloads":["Add","FC"],"ts":[32],"elements":4096})"}) {
+        const std::string reply = c.roundTrip(line);
+        EXPECT_NE(reply.find("\"bad_request\",\"message\":\"FC needs "
+                             "a TS of at least 64 B"),
+                  std::string::npos)
+            << line << " -> " << reply;
+    }
+    EXPECT_NE(c.roundTrip(R"({"cmd":"ping"})").find("\"ok\":true"),
+              std::string::npos);
+    EXPECT_EQ(server_->snapshot().runsExecuted, 0u);
+}
+
 TEST_F(ServeServerTest, SweepRequestReturnsRows)
 {
     Client c = Client::overUnix(path_);

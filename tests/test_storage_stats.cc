@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "dram/storage.hh"
 #include "sim/random.hh"
@@ -53,6 +57,113 @@ TEST(SparseMemory, BulkFloatHelpers)
     std::vector<float> vals = {1, 2, 3, 4, 5, 6, 7, 8, 9};
     mem.writeFloats(0x100, vals);
     EXPECT_EQ(mem.readFloats(0x100, 9), vals);
+}
+
+TEST(SparseMemory, UnalignedAccessAcrossPages)
+{
+    SparseMemory mem;
+    constexpr std::size_t n = 2 * SparseMemory::pageBytes + 77;
+    std::vector<std::uint8_t> data(n);
+    for (std::size_t i = 0; i < n; ++i)
+        data[i] = std::uint8_t(i * 7 + 3);
+    const std::uint64_t addr = 5 * SparseMemory::pageBytes - 13;
+    mem.write(addr, data.data(), n); // spans four pages
+    EXPECT_EQ(mem.numBlocks(),
+              4u * SparseMemory::pageBytes / SparseMemory::blockBytes);
+    std::vector<std::uint8_t> out(n);
+    mem.read(addr, out.data(), n);
+    EXPECT_EQ(out, data);
+    // Blocks see the same bytes, and the neighbours stay zero.
+    const auto &blk = mem.blockOrZero(5 * SparseMemory::pageBytes);
+    EXPECT_EQ(std::memcmp(blk.data(), data.data() + 13, 32), 0);
+    std::uint8_t before = 0xff, after = 0xff;
+    mem.read(addr - 1, &before, 1);
+    mem.read(addr + n, &after, 1);
+    EXPECT_EQ(before, 0);
+    EXPECT_EQ(after, 0);
+}
+
+TEST(SparseMemory, ReadsOfUntouchedMemoryAllocateNothing)
+{
+    SparseMemory mem;
+    std::vector<std::uint8_t> out(3 * SparseMemory::pageBytes, 0xaa);
+    mem.read(0x7ff0'0000'0000, out.data(), out.size());
+    for (std::uint8_t b : out)
+        ASSERT_EQ(b, 0);
+    EXPECT_EQ(mem.blockOrZero(0x40000).size(), SparseMemory::blockBytes);
+    EXPECT_EQ(mem.readFloats(0x123400, 2000),
+              std::vector<float>(2000, 0.0f));
+    EXPECT_EQ(mem.numBlocks(), 0u);
+
+    // A write to one page backs exactly that page; reading its
+    // neighbour still allocates nothing.
+    mem.writeU32(0x40004, 9);
+    EXPECT_EQ(mem.readU32(0x41004), 0u);
+    EXPECT_EQ(mem.numBlocks(),
+              SparseMemory::pageBytes / SparseMemory::blockBytes);
+}
+
+TEST(SparseMemory, CopiesAreIndependent)
+{
+    SparseMemory a;
+    a.writeFloat(0x100, 1.5f);
+    a.writeFloat(0x9'0000'1000, 2.5f);
+    SparseMemory b(a);
+    EXPECT_EQ(b.readFloat(0x100), 1.5f);
+    EXPECT_EQ(b.readFloat(0x9'0000'1000), 2.5f);
+    EXPECT_EQ(b.numBlocks(), a.numBlocks());
+
+    b.writeFloat(0x100, 7.0f);
+    a.writeFloat(0x9'0000'1000, 8.0f);
+    a.writeFloat(0x5000, 3.0f);
+    EXPECT_EQ(a.readFloat(0x100), 1.5f);
+    EXPECT_EQ(b.readFloat(0x9'0000'1000), 2.5f);
+    EXPECT_EQ(b.readFloat(0x5000), 0.0f);
+
+    SparseMemory c;
+    c.writeFloat(0x200, 4.0f);
+    c = a;
+    EXPECT_EQ(c.readFloat(0x200), 0.0f);
+    EXPECT_EQ(c.readFloat(0x5000), 3.0f);
+    c.block(0x5000)[0] = 0;
+    EXPECT_EQ(a.readFloat(0x5000), 3.0f);
+}
+
+/** The channel-partitioned pattern: several threads first-touch the
+ *  same pages at once, each writing its own disjoint 32 B blocks (the
+ *  256 B channel interleave puts every channel in every page). Each
+ *  page is created once and no write is lost. Runs under the
+ *  partitioned_tsan filter. */
+TEST(PartitionedStorage, ConcurrentFirstTouchOfSharedPages)
+{
+    SparseMemory mem;
+    constexpr unsigned threads = 4;
+    constexpr std::uint64_t pages = 8;
+    constexpr std::uint64_t blocksPerPage =
+        SparseMemory::pageBytes / SparseMemory::blockBytes;
+    std::atomic<bool> go{false};
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t)
+        pool.emplace_back([&mem, &go, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (std::uint64_t b = t; b < pages * blocksPerPage;
+                 b += threads) {
+                auto &blk = mem.block(0x10'0000 +
+                                      b * SparseMemory::blockBytes);
+                blk.fill(std::uint8_t(1 + b % 251));
+            }
+        });
+    go.store(true);
+    for (auto &th : pool)
+        th.join();
+    EXPECT_EQ(mem.numBlocks(), pages * blocksPerPage);
+    for (std::uint64_t b = 0; b < pages * blocksPerPage; ++b) {
+        const auto &blk =
+            mem.blockOrZero(0x10'0000 + b * SparseMemory::blockBytes);
+        ASSERT_EQ(blk[0], std::uint8_t(1 + b % 251)) << b;
+        ASSERT_EQ(blk[31], std::uint8_t(1 + b % 251)) << b;
+    }
 }
 
 TEST(SparseMemoryDeath, UnalignedBlockPanics)
